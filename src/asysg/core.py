@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -126,11 +127,6 @@ class HistoryRing:
         return self._slots[j % len(self._slots)]
 
 
-def history_get(ring: HistoryRing, j: int, k_now: int):
-    """Retrieve the stored slot for index j, enforcing the staleness window."""
-    return ring.get(j, k_now)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs besides the problem: mode, budget, schedule, asynchrony knobs."""
@@ -229,11 +225,6 @@ class Trace:
                 )
 
 
-def check_finite(x: np.ndarray, what: str = "parameter vector") -> None:
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"{what} contains non-finite entries")
-
-
 def require_mode(cfg: "RunConfig", mode: str) -> None:
     if cfg.mode != mode:
         raise ValueError(f"config mode is {cfg.mode!r}, engine needs {mode!r}")
@@ -245,3 +236,62 @@ class EngineError(RuntimeError):
     def __init__(self, message: str, trace: "Trace | None" = None):
         super().__init__(message)
         self.trace = trace
+
+
+class Recorder:
+    """The run recorder of every engine: snapshots during the run, evaluation afterwards.
+
+    While the run is timed, `snap` only stamps (k, t, a copy of x, max delay),
+    so the t column measures optimisation alone.  `finish` then evaluates each
+    snapshot through one `value_and_gradient` call, in k order, and returns the
+    validated trace.  Every snapshot is kept until then: peak memory grows by
+    rows x n x 8 bytes.  A non-finite iterate, objective or gradient norm
+    raises EngineError carrying the rows evaluated before it.
+    """
+
+    def __init__(self, p, cfg: RunConfig, gamma: float, delays: np.ndarray | None = None):
+        """`delays`, for engines that log delays only by write ordinal, holds the
+        delay of write j at index j; row k then takes its running max up to k."""
+        self.p = p
+        self.delays = delays
+        self.every = cfg.checkpoint_every
+        self.gamma = gamma
+        self.meta = {
+            "mode": cfg.mode,
+            "problem": p.name,
+            "seed": cfg.seeds.master_seed,
+            "gamma": gamma,
+            "workers": cfg.workers,
+            "config_fingerprint": f"{p.name}|{cfg.fingerprint()}",
+        }
+        self._snaps: list[tuple[int, float, np.ndarray, int]] = []
+        self.t0 = time.perf_counter()
+
+    def due(self, k: int) -> bool:
+        return k % self.every == 0
+
+    def snap(self, k: int, x: np.ndarray, max_delay: int = 0, at: float | None = None) -> None:
+        """Stamp row k; `at` is a perf_counter reading the caller took, default now."""
+        t = (time.perf_counter() if at is None else at) - self.t0
+        x = x.copy()
+        if not np.isfinite(x).all():
+            raise EngineError(f"non-finite iterate at k={k}", self.trace())
+        self._snaps.append((k, t, x, max_delay))
+
+    def trace(self) -> Trace:
+        """Evaluate the snapshots taken so far, in k order."""
+        running = None if self.delays is None else np.maximum.accumulate(self.delays)
+        rows: list[TraceRow] = []
+        for k, t, x, d in sorted(self._snaps, key=lambda s: s[0]):
+            f, g = self.p.value_and_gradient(x)
+            gradsq = float(g @ g)
+            if not (math.isfinite(f) and math.isfinite(gradsq)):
+                raise EngineError(f"non-finite objective or gradient at k={k}", Trace(rows, self.meta))
+            rows.append(TraceRow(k=k, t=t, f=f, gradsq=gradsq, gamma=self.gamma,
+                                 max_delay_observed=d if running is None else int(running[k])))
+        return Trace(rows, self.meta)
+
+    def finish(self, delay_cap: int | None = None) -> Trace:
+        trace = self.trace()
+        trace.validate(delay_cap=delay_cap)
+        return trace

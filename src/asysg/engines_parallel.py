@@ -11,8 +11,15 @@ workers copy it without any whole-vector guarantee (torn reads are the point),
 and write back a single coordinate through an add that CPython's GIL makes
 indivisible (one C-level call).  A shared claim counter defines the global
 iteration index, so the run applies exactly K coordinate writes no matter how
-threads interleave.  Checkpoint snapshots taken while writers run may be torn
-as well; rows record the applied-write count current at snapshot time.
+threads interleave.  Checkpoint rows land exactly on the grid {0, c, 2c, ..., K}
+(c = checkpoint_every): the worker whose write is the j*c-th to land copies the
+vector itself, unsynchronized, so that row may be torn as well.
+
+Both engines record through `core.Recorder`: a row is stamped (k, t, copy of
+x) at snapshot time and its f and gradient are evaluated after the run, so the
+t column excludes checkpoint evaluation.  Holding the copies until then costs
+rows x n x 8 bytes of peak memory (about 1 MB for the 46,380-parameter MLP at
+three rows).
 
 Delay accounting: every applied contribution logs (version at pull, version at
 apply).  In con-threads versions are master updates; in incon-threads they are
@@ -32,9 +39,9 @@ import numpy as np
 
 from .core import (
     EngineError,
+    Recorder,
     RunConfig,
     Trace,
-    TraceRow,
     derive_stream,
     require_mode,
 )
@@ -134,20 +141,11 @@ class _WorkerPool:
             t.join(timeout=max(0.0, deadline - time.perf_counter()))
         return all(not t.is_alive() for t in self.threads)
 
-    def raise_failure(self, trace: Trace):
+    def raise_failure(self, rec: Recorder):
         w, exc = self.errors[0]
-        raise EngineError(f"worker {w} failed: {exc!r}", trace) from exc
-
-
-def _base_meta(p, cfg: RunConfig, gamma: float) -> dict:
-    return {
-        "mode": cfg.mode,
-        "problem": p.name,
-        "seed": cfg.seeds.master_seed,
-        "gamma": gamma,
-        "workers": cfg.workers,
-        "config_fingerprint": f"{p.name}|{cfg.fingerprint()}",
-    }
+        if isinstance(exc, EngineError):  # already names the fault and carries its rows
+            raise exc
+        raise EngineError(f"worker {w} failed: {exc!r}", rec.trace()) from exc
 
 
 # ------------------------------------------------------------ parameter server
@@ -186,22 +184,15 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
                 except queue.Full:
                     continue
 
-    trace = Trace(meta=_base_meta(p, cfg, gamma))
-    t0 = time.perf_counter()
-
-    def record(k: int, vec: np.ndarray, max_delay: int):
-        g = p.full_gradient(vec)
-        trace.append(TraceRow(k=k, t=time.perf_counter() - t0, f=p.objective(vec),
-                              gradsq=float(g @ g), gamma=gamma, max_delay_observed=max_delay))
-
+    rec = Recorder(p, cfg, gamma)
     pool.launch(worker, cfg.workers)
     log_pairs: list[tuple[int, int]] = []
     log_workers: list[int] = []
     max_delay = 0
     try:
         for k in range(cfg.K):
-            if k % cfg.checkpoint_every == 0:
-                record(k, x, max_delay)
+            if rec.due(k):
+                rec.snap(k, x, max_delay)
             waited = 0.0
             while True:
                 try:
@@ -210,26 +201,25 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
                 except queue.Empty:
                     if pool.failed():
                         pool.shutdown()
-                        pool.raise_failure(trace)
+                        pool.raise_failure(rec)
                     waited += _POLL
                     if waited > _STALL_LIMIT:
                         pool.shutdown()
-                        raise EngineError(f"no worker push within {_STALL_LIMIT}s at update {k}", trace)
+                        raise EngineError(f"no worker push within {_STALL_LIMIT}s at update {k}", rec.trace())
             log_pairs.append((version, k))
             log_workers.append(w)
             max_delay = max(max_delay, k - version)
             x = x - gamma * gsum  # fresh array: earlier snapshots stay intact
             published[0] = (k + 1, x)
             slots[w].release()
-        record(cfg.K, x, max_delay)
+        rec.snap(cfg.K, x, max_delay)
     finally:
         clean = pool.shutdown()
     if pool.failed():
-        pool.raise_failure(trace)
+        pool.raise_failure(rec)
     if not clean:
-        raise EngineError("workers did not exit after stop", trace)
-    trace.validate()
-    return trace, delay_stats(log_pairs, workers=log_workers)
+        raise EngineError("workers did not exit after stop", rec.trace())
+    return rec.finish(), delay_stats(log_pairs, workers=log_workers)
 
 
 # ------------------------------------------------------------ lock-free shared memory
@@ -241,8 +231,10 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
     whole-vector guarantee, compute an M-sample gradient, and add -gamma * g[i]
     into one uniformly drawn coordinate as a single indivisible operation.  The
     run ends after exactly K claimed iterations, hence exactly K coordinate
-    writes.  The caller acts as observer, checkpointing on cadence from possibly
-    torn snapshots; row k is the applied-write count at snapshot time.
+    writes.  Each landed write then draws its ordinal 1..K; the worker whose
+    ordinal is a multiple of checkpoint_every snapshots x on the spot, possibly
+    torn, so row k is taken once k writes have landed.  Row max_delay_observed
+    is the running max of the delays of writes 1..k, filled in after the run.
 
     With collect_entries=True and workers=1 the trace meta carries the
     (coordinate, sample indices) sequence for exact replay through the
@@ -254,10 +246,15 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
     gamma = resolve_gamma(cfg, p)
     x = p.x1
     claims = itertools.count()          # next() is one atomic fetch-and-add under the GIL
+    # (ordinal, perf_counter reading) of each landed write: next() is one C call,
+    # so under the GIL rows stamped in ordinal order are stamped in time order too
+    landed = zip(itertools.count(1), iter(time.perf_counter, None))
     applied = np.zeros(1, dtype=np.int64)  # count of landed coordinate writes
+    delays = np.zeros(cfg.K + 1, dtype=np.int64)  # delay of the write with each ordinal
     pool = _WorkerPool()
     per_worker_pairs: list[list[tuple[int, int]]] = [[] for _ in range(cfg.workers)]
     entries: list[tuple[int, list[int]]] = []
+    rec = Recorder(p, cfg, gamma, delays=delays)
 
     def worker(w: int):
         rng_s = derive_stream(cfg.seeds, w, "sample")
@@ -276,37 +273,16 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
             np.add.at(x, i, delta)      # indivisible single-coordinate add
             v_apply = int(applied[0])
             np.add.at(applied, 0, 1)
+            ordinal, stamp = next(landed)
             pairs.append((v_read, v_apply))
+            delays[ordinal] = v_apply - v_read
             if collect_entries:
                 entries.append((i, [int(v) for v in xis]))
+            if ordinal < cfg.K and rec.due(ordinal):
+                rec.snap(ordinal, x, at=stamp)
 
-    trace = Trace(meta=_base_meta(p, cfg, gamma))
-    trace.meta["snapshots"] = "observer copies are unsynchronized and may be torn"
-    t0 = time.perf_counter()
-    scan_pos = [0] * cfg.workers
-    run_max = 0
-
-    def current_max_delay() -> int:
-        # per-worker logs are append-only; scanning the new tail is safe
-        nonlocal run_max
-        for w, lst in enumerate(per_worker_pairs):
-            upto = len(lst)
-            for idx in range(scan_pos[w], upto):
-                v_read, v_apply = lst[idx]
-                if v_apply - v_read > run_max:
-                    run_max = v_apply - v_read
-            scan_pos[w] = upto
-        return run_max
-
-    def record(k: int, vec: np.ndarray):
-        g = p.full_gradient(vec)
-        trace.append(TraceRow(k=k, t=time.perf_counter() - t0, f=p.objective(vec),
-                              gradsq=float(g @ g), gamma=gamma,
-                              max_delay_observed=current_max_delay()))
-
-    record(0, x.copy())
+    rec.snap(0, x)
     pool.launch(worker, cfg.workers)
-    next_mark = cfg.checkpoint_every
     last_seen, last_move = 0, time.perf_counter()
     while any(t.is_alive() for t in pool.threads):
         if pool.failed():
@@ -316,20 +292,18 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
             last_seen, last_move = done, time.perf_counter()
         elif time.perf_counter() - last_move > _STALL_LIMIT:
             pool.shutdown()
-            raise EngineError(f"no write applied within {_STALL_LIMIT}s", trace)
-        if done >= next_mark and done < cfg.K and done > trace.rows[-1].k:
-            record(done, x.copy())
-            next_mark = (done // cfg.checkpoint_every + 1) * cfg.checkpoint_every
+            raise EngineError(f"no write applied within {_STALL_LIMIT}s", rec.trace())
         time.sleep(_POLL)
     clean = pool.shutdown()
     if pool.failed():
-        pool.raise_failure(trace)
+        pool.raise_failure(rec)
     if not clean:
-        raise EngineError("workers did not exit after stop", trace)
+        raise EngineError("workers did not exit after stop", rec.trace())
     if int(applied[0]) != cfg.K:
-        raise EngineError(f"applied {int(applied[0])} writes, expected {cfg.K}", trace)
-    record(cfg.K, x)  # quiescent: exact final iterate, all delay logs visible
-    trace.validate()
+        raise EngineError(f"applied {int(applied[0])} writes, expected {cfg.K}", rec.trace())
+    rec.snap(cfg.K, x)  # quiescent: exact final iterate
+    trace = rec.finish()
+    trace.meta["snapshots"] = "rows are copied by the writing worker, unsynchronized, and may be torn"
     if collect_entries:
         trace.meta["entries"] = entries
     trace.meta["x_final"] = x

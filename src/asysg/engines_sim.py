@@ -9,7 +9,6 @@ which preserves that order for the loop-based oracles).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
@@ -21,10 +20,9 @@ from .core import (
     EngineError,
     GammaRule,
     HistoryRing,
+    Recorder,
     RunConfig,
     Trace,
-    TraceRow,
-    check_finite,
     derive_stream,
     require_mode,
 )
@@ -142,43 +140,6 @@ def resolve_gamma(cfg: RunConfig, p) -> float:
     return theory.steplength_corollary4(p.gap, p.n, cfg.K, L_T, cfg.M, math.sqrt(p.sigma_sq))
 
 
-class _Recorder:
-    """Checkpoint collector: objective, full-sum gradient norm, wall time."""
-
-    def __init__(self, p, cfg: RunConfig, gamma: float):
-        self.p = p
-        self.cfg = cfg
-        self.gamma = gamma
-        self.trace = Trace(meta={
-            "mode": cfg.mode,
-            "problem": p.name,
-            "seed": cfg.seeds.master_seed,
-            "gamma": gamma,
-            "config_fingerprint": f"{p.name}|{cfg.fingerprint()}",
-            "eval": "full-gradient",
-        })
-        self.t0 = time.perf_counter()
-
-    def due(self, k: int) -> bool:
-        return k % self.cfg.checkpoint_every == 0
-
-    def record(self, k: int, x: np.ndarray, max_delay: int) -> None:
-        check_finite(x, f"iterate at k={k}")
-        g = self.p.full_gradient(x)
-        self.trace.append(TraceRow(
-            k=k,
-            t=time.perf_counter() - self.t0,
-            f=self.p.objective(x),
-            gradsq=float(g @ g),
-            gamma=self.gamma,
-            max_delay_observed=max_delay,
-        ))
-
-    def finish(self, delay_cap: int | None) -> Trace:
-        self.trace.validate(delay_cap=delay_cap)
-        return self.trace
-
-
 def _grouped_grad_sum(p, reads: Iterable, xis: np.ndarray) -> np.ndarray:
     """Accumulate sum_m G(read_m, xi_m) left to right, batching consecutive equal reads.
 
@@ -204,14 +165,14 @@ def run_serial_sg(p, cfg: RunConfig) -> Trace:
     gamma = resolve_gamma(cfg, p)
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
     x = p.x1
-    rec = _Recorder(p, cfg, gamma)
+    rec = Recorder(p, cfg, gamma)
     for k in range(cfg.K):
         if rec.due(k):
-            rec.record(k, x, 0)
+            rec.snap(k, x)
         xis = rng_sample.integers(1, p.sample_count + 1, size=cfg.M)
         g = p.batch_gradient_sum(x, xis)
         x = x - gamma * g
-    rec.record(cfg.K, x, 0)
+    rec.snap(cfg.K, x)
     return rec.finish(delay_cap=0)
 
 
@@ -237,22 +198,22 @@ def run_asysg_con_sim(p, cfg: RunConfig, dm: DelayModel | None = None) -> Trace:
     x = p.x1
     ring = HistoryRing(cfg.T)
     ring.append(x)
-    rec = _Recorder(p, cfg, gamma)
+    rec = Recorder(p, cfg, gamma)
     max_delay = 0
     for k in range(cfg.K):
         if rec.due(k):
-            rec.record(k, x, max_delay)
+            rec.snap(k, x, max_delay)
         xis = rng_sample.integers(1, p.sample_count + 1, size=cfg.M)
         taus = dm.draw(rng_delay, k, cfg.M, cfg.T)
         if any(t < 0 or t > cfg.T for t in taus):
-            raise EngineError(f"delay model produced tau outside [0, {cfg.T}]: {taus}", rec.trace)
+            raise EngineError(f"delay model produced tau outside [0, {cfg.T}]: {taus}", rec.trace())
         eff = [min(t, k) for t in taus]  # warm-up clamp
         max_delay = max(max_delay, max(eff))
         reads = [(tau, ring.get(k - tau, k)) for tau in eff]
         acc = _grouped_grad_sum(p, reads, xis)
         x = x - gamma * acc
         ring.append(x)
-    rec.record(cfg.K, x, max_delay)
+    rec.snap(cfg.K, x, max_delay)
     return rec.finish(delay_cap=cfg.T)
 
 
@@ -276,13 +237,13 @@ def _run_incon(p, cfg: RunConfig, rm: ReadModel | None, sparse: bool, collect_lo
 
     x = p.x1
     ring = HistoryRing(cfg.T)  # per-iteration single-coordinate deltas (i_j, delta_j)
-    rec = _Recorder(p, cfg, gamma)
+    rec = Recorder(p, cfg, gamma)
     log: list[dict] | None = [] if collect_log else None
     max_delay = 0
     skips = 0
     for k in range(cfg.K):
         if rec.due(k):
-            rec.record(k, x, max_delay)
+            rec.snap(k, x, max_delay)
         xis = rng_sample.integers(1, p.sample_count + 1, size=cfg.M)
         if not sparse:
             i_k = int(rng_coord.integers(p.n))  # uniform coordinate, drawn before gradients
@@ -292,7 +253,7 @@ def _run_incon(p, cfg: RunConfig, rm: ReadModel | None, sparse: bool, collect_lo
         prev_J, xhat = None, None
         for J in Js:
             if len(J) > cfg.T or any(j < lo or j >= k for j in J):
-                raise EngineError(f"read set {J} outside window [{lo}, {k - 1}]", rec.trace)
+                raise EngineError(f"read set {J} outside window [{lo}, {k - 1}]", rec.trace())
             if J:
                 max_delay = max(max_delay, k - min(J))
             if J != prev_J:  # equal read sets reconstruct bitwise-equal vectors; share one
@@ -321,7 +282,7 @@ def _run_incon(p, cfg: RunConfig, rm: ReadModel | None, sparse: bool, collect_lo
         ring.append((i_k, delta))
         if log is not None:
             log.append({"k": k, "xis": [int(v) for v in xis], "i": i_k, "J": [tuple(J) for J in Js], "delta": delta})
-    rec.record(cfg.K, x, max_delay)
+    rec.snap(cfg.K, x, max_delay)
     trace = rec.finish(delay_cap=cfg.T)
     trace.meta["sparse_skips"] = skips
     if log is not None:

@@ -46,6 +46,10 @@ class Problem:
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)); problems that share one pass between the two override it."""
+        return self.objective(x), self.full_gradient(x)
+
     def stochastic_gradient(self, x: np.ndarray, xi: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -60,6 +64,13 @@ class Problem:
     def l_s(self, s: int) -> float:
         """Support-restricted gradient Lipschitz constant for supports of size max(s, 1)."""
         raise NotImplementedError
+
+    def _cached(self, key: str, fn) -> float:
+        """Constant `key`, computed by fn on first use and kept for the problem's lifetime."""
+        cache = vars(self).setdefault("_cache", {})
+        if key not in cache:
+            cache[key] = float(fn())
+        return cache[key]
 
     @property
     def x1(self) -> np.ndarray:
@@ -131,8 +142,7 @@ class NoisyQuadratic(Problem):
 
     def l_s(self, s: int) -> float:
         s = max(1, min(int(s), self.n))
-        consts = constants_quadratic(self.Q, s_values=[s])
-        return consts.L_s[s]
+        return self._cached(f"L_{s}", lambda: constants_quadratic(self.Q, s_values=[s]).L_s[s])
 
 
 def make_noisy_quadratic(
@@ -201,7 +211,7 @@ class LeastSquares(Problem):
 
     def l_s(self, s: int) -> float:
         s = max(1, min(int(s), self.n))
-        return constants_quadratic(self.H, s_values=[s]).L_s[s]
+        return self._cached(f"L_{s}", lambda: constants_quadratic(self.H, s_values=[s]).L_s[s])
 
 
 def make_least_squares(n: int = 10, N: int = 40, seed: int = 0) -> LeastSquares:
@@ -283,8 +293,6 @@ class SyntheticMlp(Problem):
             x1[a:b] = rng_init.standard_normal(b - a) / math.sqrt(fan_in)
         self._x1 = x1
 
-        self._cache: dict[str, float] = {}
-
     # ---- parameter layout
 
     def _layer_shapes(self) -> list[tuple[int, int]]:
@@ -354,14 +362,19 @@ class SyntheticMlp(Problem):
             total += 0.5 * float(np.sum(resid * resid))
         return total / self.sample_count
 
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        # one forward pass per chunk serves both; the loss sums bit-identically to objective's
         x = self._check_x(x)
-        acc = np.zeros(self.n)
+        total, acc = 0.0, np.zeros(self.n)
         for lo in range(0, self.sample_count, self._EVAL_CHUNK):
             hi = min(lo + self._EVAL_CHUNK, self.sample_count)
-            _, g = self._loss_and_grad(x, self.X[lo:hi], self.Y[lo:hi])
+            loss, g = self._loss_and_grad(x, self.X[lo:hi], self.Y[lo:hi])
+            total += loss
             acc += g
-        return acc / self.sample_count
+        return total / self.sample_count, acc / self.sample_count
+
+    def full_gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_gradient(x)[1]
 
     def stochastic_gradient(self, x: np.ndarray, xi: int) -> np.ndarray:
         xi = self._check_xi(xi)
@@ -379,32 +392,27 @@ class SyntheticMlp(Problem):
 
     # ---- estimated constants (lazy)
 
-    def _estimate(self, key: str, fn) -> float:
-        if key not in self._cache:
-            self._cache[key] = float(fn())
-        return self._cache[key]
-
     @property
     def gap(self) -> float:
         # loss is nonnegative, so f(x1) - 0 upper-bounds the true optimality gap
-        return self._estimate("gap", lambda: self.objective(self._x1))
+        return self._cached("gap", lambda: self.objective(self._x1))
 
     @property
     def L(self) -> float:
-        return self._estimate("L", lambda: estimate_lipschitz(self, s=None))
+        return self._cached("L", lambda: estimate_lipschitz(self, s=None))
 
     @property
     def L_max(self) -> float:
-        return self._estimate("L_max", lambda: estimate_lipschitz(self, s=1))
+        return self._cached("L_max", lambda: estimate_lipschitz(self, s=1))
 
     @property
     def sigma_sq(self) -> float:
         budget = min(self.sample_count, 512)
-        return self._estimate("sigma_sq", lambda: estimate_sigma_sq(self, self._x1, budget))
+        return self._cached("sigma_sq", lambda: estimate_sigma_sq(self, self._x1, budget))
 
     def l_s(self, s: int) -> float:
         s = max(1, min(int(s), self.n))
-        return self._estimate(f"L_{s}", lambda: estimate_lipschitz(self, s=s))
+        return self._cached(f"L_{s}", lambda: estimate_lipschitz(self, s=s))
 
 
 def make_synthetic_mlp(spec: MlpSpec | None = None, seed: int = 0) -> SyntheticMlp:

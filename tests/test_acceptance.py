@@ -366,14 +366,9 @@ def _run_mlp(p, workers, seed, checkpoint_every=1500):
     return trace
 
 
-def _value_nearest(trace, field, k):
-    """Field value at the recorded row whose k is closest to the requested one.
-
-    The observer thread snapshots on a best-effort cadence; under heavy worker
-    contention its rows land unevenly, so evaluation grids align to the nearest
-    recorded row rather than assuming exact checkpoint positions.
-    """
-    row = min(trace.rows, key=lambda r: abs(r.k - k))
+def _value_at(trace, field, k):
+    """Field value at the row for checkpoint k; lock-free rows land exactly on the grid."""
+    (row,) = [r for r in trace.rows if r.k == k]
     return getattr(row, field)
 
 
@@ -389,7 +384,7 @@ def test_criterion_10_mlp_objective_decreases(mlp_problem):
             trace = _run_mlp(p, workers, seed)
             assert trace.rows[0].k == 0
             assert trace.rows[-1].k == MLP_K
-            per_seed.append([_value_nearest(trace, "f", g) for g in grid])
+            per_seed.append([_value_at(trace, "f", g) for g in grid])
         medians = [statistics.median(vals[gi] for vals in per_seed)
                    for gi in range(len(grid))]
         for a, b in zip(medians, medians[1:]):
@@ -404,7 +399,7 @@ def test_criterion_10_mlp_iteration_speedup(mlp_problem):
     p = mlp_problem
     serial = [_run_mlp(p, 1, seed, checkpoint_every=250) for seed in range(MLP_SEEDS)]
     epsilon = statistics.median(
-        _value_nearest(t, "gradsq", MLP_K // 2) for t in serial)
+        _value_at(t, "gradsq", MLP_K // 2) for t in serial)
 
     med_serial = statistics.median(
         iterations_to_target(t, epsilon) or MLP_K for t in serial)

@@ -1,6 +1,8 @@
 """CLI tests: config validation with field-level messages, exit codes, file
 outputs, overrides, idempotence, and the three auxiliary subcommands."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +189,27 @@ def test_run_all_modes_exit_0(tmp_path, capsys):
         doc = base_doc(tmp_path, K=40, **alg)
         doc["output"]["trace"] = str(tmp_path / f"m{i}")
         assert main(["run", "--config", write_config(tmp_path, doc, f"c{i}.json")]) == 0, alg
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["serial", "con-threads", "incon-threads"])
+def test_divergence_exits_1(tmp_path, capsys, mode):
+    # |1 - gamma * q| >= 99 on every eigenvalue q, so the iterate overflows well before K
+    doc = base_doc(tmp_path, mode=mode, K=2000)
+    doc["algorithm"]["gamma"]["value"] = 1e3
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_readme_config_examples_run(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for i, block in enumerate(blocks):
+        cfg = tmp_path / f"readme{i}.json"
+        cfg.write_text(block)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / f"readme{i}")]) == 0, block
     capsys.readouterr()
 
 

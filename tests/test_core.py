@@ -13,7 +13,6 @@ from asysg.core import (
     Trace,
     TraceRow,
     derive_stream,
-    history_get,
 )
 
 
@@ -64,7 +63,7 @@ def test_ring_in_window_retrieval():
     ring = HistoryRing(horizon=2)
     for j in range(6):
         assert ring.append(f"x{j}") == j
-    assert history_get(ring, 3, 5) == "x3"
+    assert ring.get(3, 5) == "x3"
     assert ring.get(5, 5) == "x5"
 
 

@@ -154,6 +154,9 @@ class _FailingProblem:
     def full_gradient(self, x):
         return self.inner.full_gradient(x)
 
+    def value_and_gradient(self, x):
+        return self.inner.value_and_gradient(x)
+
     def l_s(self, s):
         return self.inner.l_s(s)
 
@@ -173,14 +176,17 @@ def test_param_server_worker_failure_surfaces():
 
 # ------------------------------------------------------------ lock-free shared memory
 
-def test_lockfree_applies_exactly_k_writes():
+@pytest.mark.parametrize("every", [1, 2000])
+def test_lockfree_applies_exactly_k_writes(every):
     p = make_noisy_quadratic(n=20, sigma=1.0, N=64)
-    trace, stats = run_lockfree_shared(p, tcfg("incon-threads", K=10_000, M=1,
-                                               gamma=0.02, workers=4, every=2000))
-    assert stats.total == 10_000                    # one coordinate write per claim
-    assert trace.rows[0].k == 0 and trace.rows[-1].k == 10_000
+    K = 10_000
+    trace, stats = run_lockfree_shared(p, tcfg("incon-threads", K=K, M=1,
+                                               gamma=0.02, workers=4, every=every))
+    assert stats.total == K                         # one coordinate write per claim
+    assert [r.k for r in trace.rows] == list(range(0, K, every)) + [K]
     assert trace.rows[0].f == p.objective(p.x1)
-    trace.validate()
+    assert trace.rows[-1].max_delay_observed == stats.max_observed
+    trace.validate()                                # t stays monotone with 4 snapshotting workers
 
 
 def test_lockfree_single_worker_replay_is_bitexact():

@@ -79,6 +79,18 @@ def test_quadratic_constants_ordering():
     assert p.l_s(1) <= p.l_s(3) + 1e-12 <= p.L + 2e-12
 
 
+def test_support_constants_enumerate_once(monkeypatch):
+    from asysg import problems
+
+    calls = []
+    real = problems.constants_quadratic
+    monkeypatch.setattr(problems, "constants_quadratic",
+                        lambda *a, **kw: calls.append(kw["s_values"]) or real(*a, **kw))
+    for p in (make_noisy_quadratic(n=8), make_least_squares(n=6, N=20)):
+        calls.clear()
+        assert p.l_s(3) == p.l_s(3)
+        assert calls == [[3]]
+
 def test_quadratic_validation():
     p = _identity_quadratic()
     with pytest.raises(ValueError):
@@ -204,6 +216,15 @@ def test_mlp_batch_sum_matches_per_sample_loop():
     scale = np.max(np.abs(loop)) or 1.0
     assert np.max(np.abs(batch - loop)) <= 1e-9 * scale
 
+
+def test_mlp_value_and_gradient_is_one_chunked_pass():
+    # more samples than one evaluation chunk, so the chunk sums are exercised
+    p = make_synthetic_mlp(MlpSpec(widths=(10, 5, 2), sample_count=20_000), seed=4)
+    x = p.x1 + 0.01
+    f, g = p.value_and_gradient(x)
+    assert f == p.objective(x)                      # same forward pass, same summation order
+    whole = p.batch_gradient_sum(x, np.arange(1, p.sample_count + 1)) / p.sample_count
+    assert np.max(np.abs(g - whole)) <= 1e-10 * max(1.0, float(np.max(np.abs(whole))))
 
 def test_mlp_estimated_constants_positive():
     p = make_synthetic_mlp(MlpSpec(sample_count=256), seed=5)
