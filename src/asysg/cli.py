@@ -30,6 +30,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 from .core import (
     MODES,
@@ -366,7 +367,12 @@ def cmd_run(args) -> int:
             os.makedirs(out_dir, exist_ok=True)
         for r in range(replicates):
             cfg_r = dataclasses.replace(cfg, seeds=SeedSpec(master + r))
-            trace, stats = _run_one(problem, cfg_r)
+            with warnings.catch_warnings():
+                # a diverging run overflows before the recorder stops it with an
+                # EngineError; its "error:" line, not numpy's warnings, reports it
+                warnings.filterwarnings("ignore", r"(overflow|invalid value|divide by zero) encountered",
+                                        RuntimeWarning)
+                trace, stats = _run_one(problem, cfg_r)
             if cfg.mode in SIM_MODES:
                 trace = _zero_times(trace)
             path = f"{stem}.r{r}.csv"

@@ -8,18 +8,26 @@ a time, which keeps single-worker staleness inside {0, 1}.
 
 incon-threads is the lock-free layout: the vector lives in one shared array,
 workers copy it without any whole-vector guarantee (torn reads are the point),
-and write back a single coordinate through an add that CPython's GIL makes
-indivisible (one C-level call).  A shared claim counter defines the global
-iteration index, so the run applies exactly K coordinate writes no matter how
-threads interleave.  Checkpoint rows land exactly on the grid {0, c, 2c, ..., K}
-(c = checkpoint_every): the worker whose write is the j*c-th to land copies the
-vector itself, unsynchronized, so that row may be torn as well.
+compute only the entry of the M-sample gradient sum that the update moves
+(`coordinate_gradient_sum`), and write back that single coordinate through an
+add that CPython's GIL makes indivisible (one C-level call).  A shared claim
+counter defines the global iteration index, so the run applies exactly K
+coordinate writes no matter how threads interleave.  Checkpoint rows land
+exactly on the grid {0, c, 2c, ..., K} (c = checkpoint_every): the worker whose
+write is the j*c-th to land copies the vector itself, unsynchronized, so that
+row may be torn as well.
 
 Both engines record through `core.Recorder`: a row is stamped (k, t, copy of
 x) at snapshot time and its f and gradient are evaluated after the run, so the
 t column excludes checkpoint evaluation.  Holding the copies until then costs
 rows x n x 8 bytes of peak memory (about 1 MB for the 46,380-parameter MLP at
 three rows).
+
+While workers run, both engines cap numpy's bundled OpenBLAS at
+max(1, cores // workers) threads, so that concurrent BLAS calls do not start
+more threads than there are cores; the previous count is restored before the
+recorder evaluates its rows, and trace meta "blas_threads" names the cap (None
+where the BLAS library offers no thread control and nothing was changed).
 
 Delay accounting: every applied contribution logs (version at pull, version at
 apply).  In con-threads versions are master updates; in incon-threads they are
@@ -28,7 +36,10 @@ read-compute-write cycle.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import itertools
+import os
 import queue
 import threading
 import time
@@ -148,6 +159,32 @@ class _WorkerPool:
         raise EngineError(f"worker {w} failed: {exc!r}", rec.trace()) from exc
 
 
+@contextlib.contextmanager
+def _blas_cap(workers: int):
+    """Cap OpenBLAS at max(1, cores // workers) threads inside the block, then restore.
+
+    Yields the cap, or None when numpy's BLAS exports no OpenBLAS thread control;
+    the block then runs with BLAS threading untouched.
+    """
+    try:  # dlsym on the extension module's handle also searches the libraries it links
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        yield None
+        return
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cap = max(1, cores // workers)
+    before = get_threads()
+    set_threads(cap)
+    try:
+        yield cap
+    finally:
+        set_threads(before)
+
+
 # ------------------------------------------------------------ parameter server
 
 def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
@@ -158,7 +195,8 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     versions form the gapless sequence 0..K and every pull sees one complete
     vector.  A push's delay is (update index at apply) - (version at pull).
     Workers keep at most one unapplied push outstanding, so a single worker can
-    only ever be 0 or 1 versions behind.
+    only ever be 0 or 1 versions behind.  BLAS is capped while workers run (see
+    the module docstring).
     """
     require_mode(cfg, "con-threads")
     gamma = resolve_gamma(cfg, p)
@@ -185,41 +223,44 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
                     continue
 
     rec = Recorder(p, cfg, gamma)
-    pool.launch(worker, cfg.workers)
     log_pairs: list[tuple[int, int]] = []
     log_workers: list[int] = []
     max_delay = 0
-    try:
-        for k in range(cfg.K):
-            if rec.due(k):
-                rec.snap(k, x, max_delay)
-            waited = 0.0
-            while True:
-                try:
-                    w, version, gsum = pushes.get(timeout=_POLL)
-                    break
-                except queue.Empty:
-                    if pool.failed():
-                        pool.shutdown()
-                        pool.raise_failure(rec)
-                    waited += _POLL
-                    if waited > _STALL_LIMIT:
-                        pool.shutdown()
-                        raise EngineError(f"no worker push within {_STALL_LIMIT}s at update {k}", rec.trace())
-            log_pairs.append((version, k))
-            log_workers.append(w)
-            max_delay = max(max_delay, k - version)
-            x = x - gamma * gsum  # fresh array: earlier snapshots stay intact
-            published[0] = (k + 1, x)
-            slots[w].release()
-        rec.snap(cfg.K, x, max_delay)
-    finally:
-        clean = pool.shutdown()
+    with _blas_cap(cfg.workers) as blas_threads:
+        pool.launch(worker, cfg.workers)
+        try:
+            for k in range(cfg.K):
+                if rec.due(k):
+                    rec.snap(k, x, max_delay)
+                waited = 0.0
+                while True:
+                    try:
+                        w, version, gsum = pushes.get(timeout=_POLL)
+                        break
+                    except queue.Empty:
+                        if pool.failed():
+                            pool.shutdown()
+                            pool.raise_failure(rec)
+                        waited += _POLL
+                        if waited > _STALL_LIMIT:
+                            pool.shutdown()
+                            raise EngineError(f"no worker push within {_STALL_LIMIT}s at update {k}", rec.trace())
+                log_pairs.append((version, k))
+                log_workers.append(w)
+                max_delay = max(max_delay, k - version)
+                x = x - gamma * gsum  # fresh array: earlier snapshots stay intact
+                published[0] = (k + 1, x)
+                slots[w].release()
+            rec.snap(cfg.K, x, max_delay)
+        finally:
+            clean = pool.shutdown()
     if pool.failed():
         pool.raise_failure(rec)
     if not clean:
         raise EngineError("workers did not exit after stop", rec.trace())
-    return rec.finish(), delay_stats(log_pairs, workers=log_workers)
+    trace = rec.finish()
+    trace.meta["blas_threads"] = blas_threads
+    return trace, delay_stats(log_pairs, workers=log_workers)
 
 
 # ------------------------------------------------------------ lock-free shared memory
@@ -227,9 +268,10 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
 def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tuple[Trace, DelayStats]:
     """Inconsistent-read asynchronous SG on one shared vector, no locks.
 
-    Workers claim global iteration numbers from a shared counter, copy x with no
-    whole-vector guarantee, compute an M-sample gradient, and add -gamma * g[i]
-    into one uniformly drawn coordinate as a single indivisible operation.  The
+    Workers claim global iteration numbers from a shared counter, draw one
+    coordinate i uniformly, copy x with no whole-vector guarantee, compute entry
+    i of the M-sample gradient sum alone (`coordinate_gradient_sum`), and add
+    -gamma * g_i into coordinate i as a single indivisible operation.  The
     run ends after exactly K claimed iterations, hence exactly K coordinate
     writes.  Each landed write then draws its ordinal 1..K; the worker whose
     ordinal is a multiple of checkpoint_every snapshots x on the spot, possibly
@@ -238,7 +280,8 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
 
     With collect_entries=True and workers=1 the trace meta carries the
     (coordinate, sample indices) sequence for exact replay through the
-    simulator's update arithmetic.
+    simulator's update arithmetic.  BLAS is capped while workers run (see the
+    module docstring).
     """
     require_mode(cfg, "incon-threads")
     if cfg.K >= 2**62:
@@ -264,12 +307,11 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
             k = next(claims)
             if k >= cfg.K:
                 return
+            i = int(rng_c.integers(p.n))  # own stream: drawing it first changes no draw
             v_read = int(applied[0])
             snap = x.copy()             # torn-capable: writers may land mid-copy
             xis = rng_s.integers(1, p.sample_count + 1, size=cfg.M)
-            gsum = p.batch_gradient_sum(snap, xis)
-            i = int(rng_c.integers(p.n))
-            delta = -(gamma * gsum[i])
+            delta = -(gamma * p.coordinate_gradient_sum(snap, xis, i))
             np.add.at(x, i, delta)      # indivisible single-coordinate add
             v_apply = int(applied[0])
             np.add.at(applied, 0, 1)
@@ -282,19 +324,20 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
                 rec.snap(ordinal, x, at=stamp)
 
     rec.snap(0, x)
-    pool.launch(worker, cfg.workers)
-    last_seen, last_move = 0, time.perf_counter()
-    while any(t.is_alive() for t in pool.threads):
-        if pool.failed():
-            break
-        done = int(applied[0])
-        if done != last_seen:
-            last_seen, last_move = done, time.perf_counter()
-        elif time.perf_counter() - last_move > _STALL_LIMIT:
-            pool.shutdown()
-            raise EngineError(f"no write applied within {_STALL_LIMIT}s", rec.trace())
-        time.sleep(_POLL)
-    clean = pool.shutdown()
+    with _blas_cap(cfg.workers) as blas_threads:
+        pool.launch(worker, cfg.workers)
+        last_seen, last_move = 0, time.perf_counter()
+        while any(t.is_alive() for t in pool.threads):
+            if pool.failed():
+                break
+            done = int(applied[0])
+            if done != last_seen:
+                last_seen, last_move = done, time.perf_counter()
+            elif time.perf_counter() - last_move > _STALL_LIMIT:
+                pool.shutdown()
+                raise EngineError(f"no write applied within {_STALL_LIMIT}s", rec.trace())
+            time.sleep(_POLL)
+        clean = pool.shutdown()
     if pool.failed():
         pool.raise_failure(rec)
     if not clean:
@@ -303,6 +346,7 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
         raise EngineError(f"applied {int(applied[0])} writes, expected {cfg.K}", rec.trace())
     rec.snap(cfg.K, x)  # quiescent: exact final iterate
     trace = rec.finish()
+    trace.meta["blas_threads"] = blas_threads
     trace.meta["snapshots"] = "rows are copied by the writing worker, unsynchronized, and may be torn"
     if collect_entries:
         trace.meta["entries"] = entries

@@ -4,7 +4,12 @@ Asynchrony is injected through explicit delay/read models drawn from dedicated
 streams, so replaying a config+seed reproduces every float exactly.  Summation
 order is fixed: minibatch gradients accumulate left to right over m = 1..M
 (consecutive samples that share a read point are evaluated in one oracle call,
-which preserves that order for the loop-based oracles).
+which preserves that order for the loop-based oracles).  The inconsistent-read
+rule reads one entry of that sum, so it asks each read group for the entry alone
+(`coordinate_gradient_sum`) and adds the scalars in the same group order; with
+the default oracle, which takes the entry from the full batch sum, the result is
+the same float as entry i of the vector sum.  The sparse variant draws its
+coordinate from the whole gradient's support and keeps the vector sum.
 """
 from __future__ import annotations
 
@@ -140,20 +145,25 @@ def resolve_gamma(cfg: RunConfig, p) -> float:
     return theory.steplength_corollary4(p.gap, p.n, cfg.K, L_T, cfg.M, math.sqrt(p.sigma_sq))
 
 
-def _grouped_grad_sum(p, reads: Iterable, xis: np.ndarray) -> np.ndarray:
+def _grouped_grad_sum(p, reads: Iterable, xis: np.ndarray, i: int | None = None):
     """Accumulate sum_m G(read_m, xi_m) left to right, batching consecutive equal reads.
 
     `reads` yields one (key, x) pair per m; consecutive entries with the same key
     share one oracle call, so the fixed-delay case is a single call on the whole
-    minibatch, bit-identical to the serial path.
+    minibatch, bit-identical to the serial path.  With a coordinate i the sum is
+    of entry i alone: one coordinate_gradient_sum scalar per group, added in the
+    same order as the vectors.
     """
-    acc = np.zeros(p.n)
+    acc = np.zeros(p.n) if i is None else 0.0
     pairs = list(enumerate(reads))
     for _, group in groupby(pairs, key=lambda e: e[1][0]):
         group = list(group)
         x_read = group[0][1][1]
         idx = [m for m, _ in group]
-        acc += p.batch_gradient_sum(x_read, xis[idx])
+        if i is None:
+            acc += p.batch_gradient_sum(x_read, xis[idx])
+        else:
+            acc += p.coordinate_gradient_sum(x_read, xis[idx], i)
     return acc
 
 
@@ -263,9 +273,9 @@ def _run_incon(p, cfg: RunConfig, rm: ReadModel | None, sparse: bool, collect_lo
                     xhat[i_j] -= d_j
                 prev_J = J
             reads.append((J, xhat))
-        acc = _grouped_grad_sum(p, reads, xis)
 
-        if sparse:
+        if sparse:  # the coordinate is drawn from the gradient's support: needs all of it
+            acc = _grouped_grad_sum(p, reads, xis)
             support = np.flatnonzero(acc)
             if len(support) == 0:
                 skips += 1  # zero aggregate gradient: skip, x untouched
@@ -277,7 +287,7 @@ def _run_incon(p, cfg: RunConfig, rm: ReadModel | None, sparse: bool, collect_lo
             i_k = int(support[rng_coord.integers(len(support))])
             delta = sparse_coordinate_update(acc, gamma, i_k)
         else:
-            delta = -(gamma * acc[i_k])
+            delta = -(gamma * _grouped_grad_sum(p, reads, xis, i_k))
         x[i_k] += delta
         ring.append((i_k, delta))
         if log is not None:
@@ -312,6 +322,5 @@ def replay_incon_updates(p, gamma: float, entries: list[tuple[int, list[int]]]) 
     the single-worker lock-free engine."""
     x = p.x1
     for i, xis in entries:
-        g = p.batch_gradient_sum(x, np.asarray(xis, dtype=int))
-        x[i] += -(gamma * g[i])
+        x[i] += -(gamma * p.coordinate_gradient_sum(x, np.asarray(xis, dtype=int), i))
     return x

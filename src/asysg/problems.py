@@ -40,6 +40,11 @@ class Problem:
             raise ValueError(f"sample index {xi} outside 1..{self.sample_count}")
         return int(xi)
 
+    def _check_coord(self, i: int) -> int:
+        if not 0 <= i < self.n:
+            raise ValueError(f"coordinate {i} outside 0..{self.n - 1}")
+        return int(i)
+
     def objective(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -60,6 +65,13 @@ class Problem:
         for xi in xis:
             acc += self.stochastic_gradient(x, int(xi))
         return acc
+
+    def coordinate_gradient_sum(self, x: np.ndarray, xis: np.ndarray, i: int) -> float:
+        """Entry i of batch_gradient_sum(x, xis): the oracle of the inconsistent-read rule,
+        which moves one coordinate per update.  Problems that can compute the entry
+        alone override it; this default reads it off the full batch sum, bit for bit."""
+        i = self._check_coord(i)
+        return float(self.batch_gradient_sum(x, xis)[i])
 
     def l_s(self, s: int) -> float:
         """Support-restricted gradient Lipschitz constant for supports of size max(s, 1)."""
@@ -327,15 +339,19 @@ class SyntheticMlp(Problem):
             A = np.tanh(Z) if li < len(layers) - 1 else Z
         return A
 
+    @staticmethod
+    def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
+        """Every layer's input, then the net's output: [X, tanh(X W_1 + b_1), ..., net(X)]."""
+        acts = [X]
+        for li, (W, b) in enumerate(layers):
+            Z = acts[-1] @ W + b
+            acts.append(np.tanh(Z) if li < len(layers) - 1 else Z)
+        return acts
+
     def _loss_and_grad(self, theta: np.ndarray, X: np.ndarray, Y: np.ndarray):
         """Summed squared-error loss 0.5 sum |net(x) - y|^2 over the batch, plus its gradient."""
         layers = self.unpack(theta)
-        acts = [X]
-        A = X
-        for li, (W, b) in enumerate(layers):
-            Z = A @ W + b
-            A = np.tanh(Z) if li < len(layers) - 1 else Z
-            acts.append(A)
+        acts = self._activations(layers, X)
         resid = acts[-1] - Y
         loss = 0.5 * float(np.sum(resid * resid))
 
@@ -381,14 +397,43 @@ class SyntheticMlp(Problem):
         _, g = self._loss_and_grad(x, self.X[xi - 1 : xi], self.Y[xi - 1 : xi])
         return g
 
-    def batch_gradient_sum(self, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    def _batch_rows(self, xis: np.ndarray) -> np.ndarray:
+        """0-based data rows of the 1-based sample indices xis."""
         idx = np.asarray(xis, dtype=int)
-        if idx.size == 0:
-            return np.zeros(self.n)
-        if idx.min() < 1 or idx.max() > self.sample_count:
+        if idx.size and (idx.min() < 1 or idx.max() > self.sample_count):
             raise ValueError("sample index outside 1..N in batch")
-        _, g = self._loss_and_grad(self._check_x(x), self.X[idx - 1], self.Y[idx - 1])
+        return idx - 1
+
+    def batch_gradient_sum(self, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
+        rows = self._batch_rows(xis)
+        if rows.size == 0:
+            return np.zeros(self.n)
+        _, g = self._loss_and_grad(self._check_x(x), self.X[rows], self.Y[rows])
         return g
+
+    def coordinate_gradient_sum(self, x: np.ndarray, xis: np.ndarray, i: int) -> float:
+        # entry i alone: one forward pass, whole deltas back-propagated only down to
+        # the layer above i's, then the one delta column that entry i reads; no
+        # weight-gradient matrix is formed
+        i = self._check_coord(i)
+        rows = self._batch_rows(xis)
+        if rows.size == 0:
+            return 0.0
+        for li, ((start, w_end), (_, fan_out)) in enumerate(zip(self._weight_slices(), self._layer_shapes())):
+            if i < w_end + fan_out:
+                break
+        r, c = divmod(i - start, fan_out) if i < w_end else (None, i - w_end)
+        layers = self.unpack(self._check_x(x))
+        acts = self._activations(layers, self.X[rows])
+        D = acts[-1] - self.Y[rows]
+        for lj in range(len(layers) - 1, li + 1, -1):
+            D = (D @ layers[lj][0].T) * (1.0 - acts[lj] * acts[lj])
+        if li == len(layers) - 1:
+            d = D[:, c]
+        else:
+            a = acts[li + 1][:, c]
+            d = (D @ layers[li + 1][0][c]) * (1.0 - a * a)
+        return float(d.sum()) if r is None else float(acts[li][:, r] @ d)
 
     # ---- estimated constants (lazy)
 

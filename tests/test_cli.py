@@ -1,7 +1,10 @@
 """CLI tests: config validation with field-level messages, exit codes, file
 outputs, overrides, idempotence, and the three auxiliary subcommands."""
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,7 +195,6 @@ def test_run_all_modes_exit_0(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["serial", "con-threads", "incon-threads"])
 def test_divergence_exits_1(tmp_path, capsys, mode):
     # |1 - gamma * q| >= 99 on every eigenvalue q, so the iterate overflows well before K
@@ -200,6 +202,21 @@ def test_divergence_exits_1(tmp_path, capsys, mode):
     doc["algorithm"]["gamma"]["value"] = 1e3
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("config", ["serial_quadratic", "con_threads"])
+def test_divergence_stderr_starts_with_error(tmp_path, config):
+    # a fresh interpreter, outside pytest's warning capture: numpy's overflow
+    # warnings must not print ahead of the error line
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asysg.cli", "run", "--config", str(root / "configs" / f"{config}.json"),
+         "--override", "algorithm.gamma.value=50", "--out", str(tmp_path / "div")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:"), proc.stderr
 
 
 def test_readme_config_examples_run(tmp_path, capsys):

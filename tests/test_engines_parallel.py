@@ -1,6 +1,7 @@
 """Threaded-engine tests: delay accounting, conservation, the single-worker
 oracles, stress tests for the lock-free write primitive, and statistical
 comparisons against the simulators."""
+import ctypes
 import itertools
 import os
 import threading
@@ -17,7 +18,7 @@ from asysg.engines_parallel import (
     run_param_server,
 )
 from asysg.engines_sim import DelayModel, replay_incon_updates, run_asysg_con_sim
-from asysg.problems import make_noisy_quadratic
+from asysg.problems import MlpSpec, make_noisy_quadratic, make_synthetic_mlp
 
 
 def tcfg(mode, K, M=1, gamma=0.05, T=0, workers=1, seed=0, every=1):
@@ -160,15 +161,22 @@ class _FailingProblem:
     def l_s(self, s):
         return self.inner.l_s(s)
 
-    def batch_gradient_sum(self, x, xis):
+    def _count_call(self):
         if next(self.calls) >= self.after:
             raise RuntimeError("oracle failure injected")
+
+    def batch_gradient_sum(self, x, xis):
+        self._count_call()
         return self.inner.batch_gradient_sum(x, xis)
+
+    def coordinate_gradient_sum(self, x, xis, i):
+        self._count_call()
+        return self.inner.coordinate_gradient_sum(x, xis, i)
 
 
 def test_param_server_worker_failure_surfaces():
     p = _FailingProblem(make_noisy_quadratic(n=5, sigma=1.0, N=8), after=10)
-    with pytest.raises(EngineError) as exc:
+    with pytest.raises(EngineError, match="oracle failure injected") as exc:
         run_param_server(p, tcfg("con-threads", K=500, M=2, workers=2, every=1))
     assert exc.value.trace is not None
     assert len(exc.value.trace) >= 1
@@ -189,8 +197,12 @@ def test_lockfree_applies_exactly_k_writes(every):
     trace.validate()                                # t stays monotone with 4 snapshotting workers
 
 
-def test_lockfree_single_worker_replay_is_bitexact():
-    p = make_noisy_quadratic(n=8, sigma=1.0, N=8)
+@pytest.mark.parametrize("problem", ["quadratic", "mlp"])
+def test_lockfree_single_worker_replay_is_bitexact(problem):
+    if problem == "quadratic":
+        p = make_noisy_quadratic(n=8, sigma=1.0, N=8)
+    else:
+        p = make_synthetic_mlp(MlpSpec(widths=(8, 6, 3), sample_count=64), seed=1)
     gamma = 0.05
     trace, stats = run_lockfree_shared(
         p, tcfg("incon-threads", K=200, M=2, gamma=gamma, workers=1, every=50),
@@ -219,9 +231,37 @@ def test_lockfree_descends_with_concurrency():
 
 def test_lockfree_worker_failure_surfaces():
     p = _FailingProblem(make_noisy_quadratic(n=5, sigma=1.0, N=8), after=25)
-    with pytest.raises(EngineError) as exc:
+    with pytest.raises(EngineError, match="oracle failure injected") as exc:
         run_lockfree_shared(p, tcfg("incon-threads", K=5000, M=1, workers=2, every=1000))
     assert exc.value.trace is not None
+
+
+def _openblas_threads():
+    """numpy's OpenBLAS thread count, or None where it exports no thread control."""
+    try:
+        fn = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    fn.argtypes, fn.restype = [], ctypes.c_int
+    return fn()
+
+
+@pytest.mark.parametrize("engine,mode", [(run_param_server, "con-threads"),
+                                         (run_lockfree_shared, "incon-threads")])
+def test_threaded_engines_cap_blas_then_restore(engine, mode):
+    p = make_noisy_quadratic(n=6, sigma=1.0, N=8)
+    seen = {"oracle": set(), "eval": set()}
+    for name, phase in [("batch_gradient_sum", "oracle"), ("coordinate_gradient_sum", "oracle"),
+                        ("value_and_gradient", "eval")]:
+        inner = getattr(p, name)
+        setattr(p, name, lambda *a, inner=inner, phase=phase:
+                seen[phase].add(_openblas_threads()) or inner(*a))
+    before = _openblas_threads()
+    trace, _ = engine(p, tcfg(mode, K=50, workers=2, every=25))
+    cap = None if before is None else max(1, len(os.sched_getaffinity(0)) // 2)
+    assert trace.meta["blas_threads"] == cap
+    assert seen == {"oracle": {cap}, "eval": {before}}
+    assert _openblas_threads() == before
 
 
 # ------------------------------------------------------------ write-primitive stress

@@ -217,6 +217,44 @@ def test_mlp_batch_sum_matches_per_sample_loop():
     assert np.max(np.abs(batch - loop)) <= 1e-9 * scale
 
 
+def test_mlp_coordinate_gradient_matches_batch_entry():
+    p = make_synthetic_mlp(MlpSpec(sample_count=64), seed=6)
+    rng = np.random.default_rng(8)
+    x = p.x1 + 0.05 * rng.standard_normal(p.n)
+    xis = rng.integers(1, p.sample_count + 1, size=32)
+    g = p.batch_gradient_sum(x, xis)
+    coords = [int(i) for i in rng.integers(0, p.n, size=100)]
+    for (start, w_end), (_, fan_out) in zip(p._weight_slices(), p._layer_shapes()):
+        coords += [start, w_end - 1, w_end, w_end + fan_out - 1]  # first/last weight, bias
+    worst = max(abs(p.coordinate_gradient_sum(x, xis, i) - g[i]) for i in coords)
+    assert worst <= 1e-12 * np.max(np.abs(g))
+
+
+def test_coordinate_gradient_validation():
+    p = make_synthetic_mlp(MlpSpec(widths=(4, 3, 2), sample_count=10), seed=0)
+    for i in (-1, p.n):
+        with pytest.raises(ValueError, match="coordinate"):
+            p.coordinate_gradient_sum(p.x1, [1, 2], i)
+    for xis in ([0, 1], [1, p.sample_count + 1]):
+        with pytest.raises(ValueError, match="sample index"):
+            p.coordinate_gradient_sum(p.x1, xis, 0)
+
+
+@pytest.mark.parametrize("make", [lambda: make_noisy_quadratic(n=7, N=16),
+                                  lambda: make_least_squares(n=5, N=20)],
+                         ids=["quadratic", "least_squares"])
+def test_default_coordinate_gradient_is_batch_entry_bitwise(make):
+    p = make()
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        x = p.x1 + rng.standard_normal(p.n)
+        xis = rng.integers(1, p.sample_count + 1, size=3)
+        g = p.batch_gradient_sum(x, xis)
+        assert [p.coordinate_gradient_sum(x, xis, i) for i in range(p.n)] == g.tolist()
+    with pytest.raises(ValueError, match="coordinate"):
+        p.coordinate_gradient_sum(p.x1, [1], p.n)
+
+
 def test_mlp_value_and_gradient_is_one_chunked_pass():
     # more samples than one evaluation chunk, so the chunk sums are exercised
     p = make_synthetic_mlp(MlpSpec(widths=(10, 5, 2), sample_count=20_000), seed=4)
