@@ -8,17 +8,21 @@ Config layout (all sections except `problem` and `algorithm` optional):
       "algorithm": {"mode": "con-sim", "K": 1000, "M": 4,
                     "gamma": {"kind": "constant", "value": 0.05},
                     "T": 2, "workers": 1,
-                    "delay_model": {"kind": "uniform"},
-                    "read_model": {"kind": "prefix", "tau": 1}},
+                    "delay_model": {"kind": "uniform"}},
       "output":    {"trace": "out/run", "checkpoint_every": 10},
       "seeds":     {"master_seed": 0, "replicates": 3}
     }
 
-`gamma` also accepts a bare number as shorthand for a constant steplength.
-Unknown keys anywhere are rejected with the offending dotted path.  Replicate
-r runs with master seed `master_seed + r` and writes `<trace>.r<r>.csv`;
-threaded modes add a `<trace>.r<r>.delays.json` sidecar.  Simulator modes
-write t=0 in every row (they have no meaningful wall clock), which keeps
+The schema below gives every field's type and bound, and the constructor its
+section feeds; a field left out takes that constructor's default.  Numbers must
+be finite.  `con-sim` requires `delay_model`, `incon-sim` and `incon-sparse-sim`
+require `read_model`, and every other mode refuses both (RunConfig states the
+rule).  `gamma` also accepts a bare number as shorthand for a constant
+steplength.  Unknown keys anywhere are rejected with the offending dotted path.
+Replicate r runs with master seed `master_seed + r` and writes
+`<trace>.r<r>.csv`; the last replicate's seed must fit in 64 bits before any
+runs.  Threaded modes add a `<trace>.r<r>.delays.json` sidecar.  Simulator
+modes write t=0 in every row (they have no meaningful wall clock), which keeps
 reruns bit-identical.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input.
@@ -27,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
+import math
 import os
 import sys
 import warnings
@@ -70,221 +76,146 @@ from .theory import build_theory_report
 
 EXIT_OK, EXIT_RUNTIME, EXIT_INVALID = 0, 1, 2
 
-PROBLEM_TYPES = ("noisy_quadratic", "least_squares", "mlp")
-
 
 class ConfigError(ValueError):
     """Invalid config document; the message names the offending dotted field."""
 
 
-# ------------------------------------------------------------ schema helpers
+# ------------------------------------------------------------ schema
 
-def _check_keys(d: dict, where: str, allowed: tuple, required: tuple = ()) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{where}.{key}: unknown key (allowed: {', '.join(allowed)})")
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"{where}.{key}: missing required key")
+def _make_mlp(**fields):
+    """`seed` feeds make_synthetic_mlp, the other mlp fields feed MlpSpec."""
+    seed = {"seed": fields.pop("seed")} if "seed" in fields else {}
+    return make_synthetic_mlp(MlpSpec(**fields), **seed)
 
 
-def _as_int(d: dict, key: str, where: str, default=None, minimum=None):
-    if key not in d:
-        return default
-    v = d[key]
-    # bool is an int subclass; 1e3 from JSON arrives as float
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
-    if isinstance(v, float):
-        if not v.is_integer():
-            raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
-        v = int(v)
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {v}")
+# The config schema: every field's type and its minimum (numbers; a tuple is a
+# list of integers) or its choices (strings).  A field of type "kind" or "type"
+# is a kinded section: that key picks one of its kinds, and each kind names the
+# constructor its fields feed.  Defaults and required keys are the
+# constructors' own: a field left out is not passed.
+GAMMA = {
+    "constant": (GammaRule.constant, {"value": (float, 0.0)}),
+    "corollary2": (GammaRule.corollary2, {}),
+    "corollary4": (GammaRule.corollary4, {}),
+}
+DELAY_MODEL = {
+    "fixed": (DelayModel.fixed, {"tau": (int, 0)}),
+    "uniform": (DelayModel.uniform, {}),
+    "cyclic": (DelayModel.cyclic, {}),
+}
+READ_MODEL = {
+    "prefix": (ReadModel.prefix, {"tau": (int, 0)}),
+    "random-subset": (ReadModel.random_subset, {"p": (float, 0.0)}),
+}
+PROBLEM = {
+    "noisy_quadratic": (make_noisy_quadratic, {
+        "n": (int, 1), "kappa": (float, 1.0), "sigma": (float, 0.0), "N": (int, 2),
+        "gap": (float, 0.0), "seed": (int, 0)}),
+    "least_squares": (make_least_squares, {"n": (int, 1), "N": (int, 1), "seed": (int, 0)}),
+    "mlp": (_make_mlp, {
+        "widths": (tuple, 1), "sample_count": (int, 1), "noise_std": (float, 0.0), "seed": (int, 0)}),
+}
+# feeds RunConfig, together with output.checkpoint_every and seeds.master_seed
+ALGORITHM = {
+    "mode": (str, MODES), "K": (int, 1), "M": (int, 1), "gamma": ("kind", GAMMA), "T": (int, 0),
+    "workers": (int, 1), "delay_model": ("kind", DELAY_MODEL), "read_model": ("kind", READ_MODEL),
+}
+OUTPUT = {"trace": (str, None), "checkpoint_every": (int, 1)}
+SEEDS = {"master_seed": (int, 0), "replicates": (int, 1)}
+SECTIONS = ("problem", "algorithm", "output", "seeds")
+
+
+def _value(v, kind, bound, path: str):
+    """One field checked against its schema entry; returns the value to pass on."""
+    if kind in ("kind", "type"):
+        return _kinded(v, path, bound, tag=kind)
+    if kind is str:
+        if not isinstance(v, str):
+            raise ConfigError(f"{path}: expected a string, got {v!r}")
+        if bound is not None and v not in bound:
+            raise ConfigError(f"{path}: must be one of {', '.join(bound)}, got {v!r}")
+        return v
+    if kind is tuple:
+        if not isinstance(v, list):
+            raise ConfigError(f"{path}: expected a list of integers, got {v!r}")
+        return tuple(_value(w, int, bound, f"{path}[{i}]") for i, w in enumerate(v))
+    # bool is an int subclass; 1e3 from JSON arrives as float; json also reads NaN and Infinity
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (
+            isinstance(v, float) and not math.isfinite(v)):
+        raise ConfigError(f"{path}: expected a finite {'integer' if kind is int else 'number'}, got {v!r}")
+    if kind is int and isinstance(v, float) and not v.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {v!r}")
+    try:
+        v = kind(v)
+    except OverflowError:
+        raise ConfigError(f"{path}: expected a finite number, got an integer too large for a float") from None
+    if v < bound:
+        raise ConfigError(f"{path}: must be >= {bound}, got {v}")
     return v
 
 
-def _as_float(d: dict, key: str, where: str, default=None, minimum=None):
-    if key not in d:
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    v = float(v)
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {v}")
-    return v
+def _fields(section, path: str, fields: dict) -> dict:
+    """Check a section's keys and values; returns the checked values by key."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(section).__name__}")
+    for key in section:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown key (allowed: {', '.join(fields)})")
+    return {key: _value(v, *fields[key], f"{path}.{key}") for key, v in section.items()}
 
 
-def _as_str(d: dict, key: str, where: str, default=None, choices=None):
-    if key not in d:
-        return default
-    v = d[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{where}.{key}: expected a string, got {v!r}")
-    if choices is not None and v not in choices:
-        raise ConfigError(f"{where}.{key}: must be one of {', '.join(choices)}, got {v!r}")
-    return v
+def _kinded(section, path: str, kinds: dict, tag: str):
+    """Build a kinded section: its `tag` key picks the constructor, the other keys feed it."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(section).__name__}")
+    if tag not in section:
+        raise ConfigError(f"{path}.{tag}: missing required key")
+    kind = _value(section[tag], str, tuple(kinds), f"{path}.{tag}")
+    ctor, fields = kinds[kind]
+    kwargs = _fields(section, path, {tag: (str, None), **fields})
+    del kwargs[tag]
+    return _build(ctor, kwargs, path)
 
 
-# ------------------------------------------------------------ section parsers
+def _build(ctor, kwargs: dict, path: str):
+    """Call a constructor with the fields given; its ValueError becomes a ConfigError.
 
-def _parse_problem(section: dict):
-    _check_keys(section, "problem",
-                allowed=("type", "n", "kappa", "sigma", "N", "gap", "seed",
-                         "widths", "sample_count", "noise_std"),
-                required=("type",))
-    ptype = _as_str(section, "type", "problem", choices=PROBLEM_TYPES)
-    seed = _as_int(section, "seed", "problem", default=0, minimum=0)
-    if ptype == "noisy_quadratic":
-        _check_keys(section, "problem", allowed=("type", "n", "kappa", "sigma", "N", "gap", "seed"))
-        return make_noisy_quadratic(
-            n=_as_int(section, "n", "problem", default=20, minimum=1),
-            kappa=_as_float(section, "kappa", "problem", default=10.0, minimum=1.0),
-            sigma=_as_float(section, "sigma", "problem", default=1.0, minimum=0.0),
-            N=_as_int(section, "N", "problem", default=64, minimum=2),
-            gap=_as_float(section, "gap", "problem", default=1.0, minimum=0.0),
-            seed=seed,
-        )
-    if ptype == "least_squares":
-        _check_keys(section, "problem", allowed=("type", "n", "N", "seed"))
-        return make_least_squares(
-            n=_as_int(section, "n", "problem", default=10, minimum=1),
-            N=_as_int(section, "N", "problem", default=40, minimum=1),
-            seed=seed,
-        )
-    _check_keys(section, "problem", allowed=("type", "widths", "sample_count", "noise_std", "seed"))
-    widths = section.get("widths")
-    if widths is not None:
-        if (not isinstance(widths, list) or len(widths) < 2
-                or any(isinstance(w, bool) or not isinstance(w, int) or w < 1 for w in widths)):
-            raise ConfigError(f"problem.widths: expected a list of >= 2 positive integers, got {widths!r}")
-        widths = tuple(widths)
+    Required keys are the constructor's parameters without a default.  A
+    message that starts with a parameter name is filed under that field.
+    """
+    params = inspect.signature(ctor).parameters
+    for name, param in params.items():
+        if param.default is param.empty and param.kind is not param.VAR_KEYWORD and name not in kwargs:
+            raise ConfigError(f"{path}.{name}: missing required key")
     try:
-        spec = MlpSpec(
-            widths=widths or MlpSpec.widths,
-            sample_count=_as_int(section, "sample_count", "problem",
-                                 default=MlpSpec.sample_count, minimum=1),
-            noise_std=_as_float(section, "noise_std", "problem",
-                                default=MlpSpec.noise_std, minimum=0.0),
-        )
+        return ctor(**kwargs)
     except ValueError as e:
-        raise ConfigError(f"problem: {e}") from None
-    return make_synthetic_mlp(spec, seed=seed)
-
-
-def _parse_gamma(v, where: str) -> GammaRule:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return GammaRule.constant(float(v))
-    if not isinstance(v, dict):
-        raise ConfigError(f"{where}: expected a number or an object with a 'kind' key, got {v!r}")
-    _check_keys(v, where, allowed=("kind", "value"), required=("kind",))
-    kind = _as_str(v, "kind", where, choices=("constant", "corollary2", "corollary4"))
-    try:
-        if kind == "constant":
-            value = _as_float(v, "value", where)
-            if value is None:
-                raise ConfigError(f"{where}.value: missing required key for constant gamma")
-            return GammaRule.constant(value)
-        return GammaRule(kind)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def _parse_delay_model(v, where: str) -> DelayModel:
-    _check_keys(v, where, allowed=("kind", "tau"), required=("kind",))
-    kind = _as_str(v, "kind", where, choices=DelayModel.KINDS)
-    try:
-        if kind == "fixed":
-            tau = _as_int(v, "tau", where, minimum=0)
-            if tau is None:
-                raise ConfigError(f"{where}.tau: missing required key for fixed delays")
-            return DelayModel.fixed(tau)
-        if "tau" in v:
-            raise ConfigError(f"{where}.tau: only the fixed kind takes tau")
-        return DelayModel.uniform() if kind == "uniform" else DelayModel.cyclic()
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def _parse_read_model(v, where: str) -> ReadModel:
-    _check_keys(v, where, allowed=("kind", "tau", "p"), required=("kind",))
-    kind = _as_str(v, "kind", where, choices=ReadModel.KINDS)
-    try:
-        if kind == "prefix":
-            if "p" in v:
-                raise ConfigError(f"{where}.p: only the random-subset kind takes p")
-            tau = _as_int(v, "tau", where, minimum=0)
-            if tau is None:
-                raise ConfigError(f"{where}.tau: missing required key for prefix reads")
-            return ReadModel.prefix(tau)
-        if "tau" in v:
-            raise ConfigError(f"{where}.tau: only the prefix kind takes tau")
-        prob = _as_float(v, "p", where)
-        if prob is None:
-            raise ConfigError(f"{where}.p: missing required key for random-subset reads")
-        return ReadModel.random_subset(prob)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def _parse_algorithm(alg: dict, out: dict, seeds: dict) -> tuple[RunConfig, str, int, int]:
-    """Build the RunConfig plus (trace stem, replicates, master seed)."""
-    _check_keys(alg, "algorithm",
-                allowed=("mode", "K", "M", "gamma", "T", "workers", "delay_model", "read_model"),
-                required=("mode", "K"))
-    _check_keys(out, "output", allowed=("trace", "checkpoint_every"))
-    _check_keys(seeds, "seeds", allowed=("master_seed", "replicates"))
-
-    mode = _as_str(alg, "mode", "algorithm", choices=MODES)
-    kwargs = dict(
-        mode=mode,
-        K=_as_int(alg, "K", "algorithm", minimum=1),
-        M=_as_int(alg, "M", "algorithm", default=1, minimum=1),
-        T=_as_int(alg, "T", "algorithm", default=0, minimum=0),
-        workers=_as_int(alg, "workers", "algorithm", default=1, minimum=1),
-        checkpoint_every=_as_int(out, "checkpoint_every", "output", default=1, minimum=1),
-    )
-    if "gamma" in alg:
-        kwargs["gamma"] = _parse_gamma(alg["gamma"], "algorithm.gamma")
-    if "delay_model" in alg:
-        kwargs["delay_model"] = _parse_delay_model(alg["delay_model"], "algorithm.delay_model")
-    if "read_model" in alg:
-        kwargs["read_model"] = _parse_read_model(alg["read_model"], "algorithm.read_model")
-    if mode == "con-sim" and kwargs.get("delay_model") is None:
-        raise ConfigError("algorithm.delay_model: missing required key for con-sim mode")
-    if mode in ("incon-sim", "incon-sparse-sim") and kwargs.get("read_model") is None:
-        raise ConfigError("algorithm.read_model: missing required key for incon-sim modes")
-
-    master = _as_int(seeds, "master_seed", "seeds", default=0, minimum=0)
-    replicates = _as_int(seeds, "replicates", "seeds", default=1, minimum=1)
-    stem = _as_str(out, "trace", "output", default="trace")
-    if stem.endswith(".csv"):
-        stem = stem[:-4]
-
-    try:
-        cfg = RunConfig(seeds=SeedSpec(master), **kwargs)
-    except ValueError as e:
-        raise ConfigError(f"algorithm: {e}") from None
-    return cfg, stem, replicates, master
+        raise ConfigError(f"{path}.{e}" if str(e).split(" ")[0] in params else f"{path}: {e}") from None
 
 
 def parse_config(doc: dict):
-    """Validate the whole document; returns (problem, RunConfig, stem, replicates, master)."""
-    _check_keys(doc, "config", allowed=("problem", "algorithm", "output", "seeds"),
-                required=("problem", "algorithm"))
-    problem = _parse_problem(doc["problem"])
-    cfg, stem, replicates, master = _parse_algorithm(
-        doc["algorithm"], doc.get("output", {}), doc.get("seeds", {}))
-    return problem, cfg, stem, replicates, master
+    """Validate the whole document; returns (problem, RunConfig, trace stem, replicates)."""
+    alg = doc.get("algorithm")
+    if isinstance(alg, dict) and type(alg.get("gamma")) in (int, float):
+        doc = {**doc, "algorithm": {**alg, "gamma": {"kind": "constant", "value": alg["gamma"]}}}
+    for key in doc:
+        if key not in SECTIONS:
+            raise ConfigError(f"config.{key}: unknown key (allowed: {', '.join(SECTIONS)})")
+    for key in ("problem", "algorithm"):
+        if key not in doc:
+            raise ConfigError(f"config.{key}: missing required key")
+    problem = _kinded(doc["problem"], "problem", PROBLEM, tag="type")
+    run = _fields(doc["algorithm"], "algorithm", ALGORITHM)
+    out = _fields(doc.get("output", {}), "output", OUTPUT)
+    seeds = _fields(doc.get("seeds", {}), "seeds", SEEDS)
+    if "checkpoint_every" in out:
+        run["checkpoint_every"] = out["checkpoint_every"]
+    if "master_seed" in seeds:
+        run["seeds"] = _build(SeedSpec, {"master_seed": seeds["master_seed"]}, "seeds")
+    cfg = _build(RunConfig, run, "algorithm")
+    stem = out.get("trace", "trace")
+    return problem, cfg, stem[:-4] if stem.endswith(".csv") else stem, seeds.get("replicates", 1)
 
 
 # ------------------------------------------------------------ config file + overrides
@@ -295,7 +226,7 @@ def load_config(path: str) -> dict:
             doc = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON, bad UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: top level must be an object")
@@ -313,7 +244,7 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override {item!r}: path must be section.key[.subkey]")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw
         node = doc
         for key in keys[:-1]:
@@ -350,13 +281,19 @@ def _zero_times(trace: Trace) -> Trace:
 def cmd_run(args) -> int:
     try:
         doc = apply_overrides(load_config(args.config), args.override or [])
-        problem, cfg, stem, replicates, master = parse_config(doc)
+        problem, cfg, stem, replicates = parse_config(doc)
         if args.out is not None:
             stem = args.out[:-4] if args.out.endswith(".csv") else args.out
         if args.seeds is not None:
             if args.seeds < 1:
                 raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
             replicates = args.seeds
+        master = cfg.seeds.master_seed
+        try:
+            SeedSpec(master + replicates - 1)
+        except ValueError as e:
+            raise ConfigError(f"seeds.master_seed: the last of {replicates} replicates "
+                              f"runs with seed {master} + {replicates - 1}: {e}") from None
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -397,7 +334,7 @@ def cmd_run(args) -> int:
 def cmd_theory(args) -> int:
     try:
         doc = apply_overrides(load_config(args.config), args.override or [])
-        problem, cfg, _, _, _ = parse_config(doc)
+        problem, cfg, _, _ = parse_config(doc)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -16,6 +16,8 @@ import numpy as np
 MODES = ("serial", "con-sim", "incon-sim", "incon-sparse-sim", "con-threads", "incon-threads")
 SIM_MODES = ("serial", "con-sim", "incon-sim", "incon-sparse-sim")
 THREAD_MODES = ("con-threads", "incon-threads")
+# the one asynchrony model each simulator mode requires; every other mode refuses both
+MODEL_OF_MODE = {"con-sim": "delay_model", "incon-sim": "read_model", "incon-sparse-sim": "read_model"}
 
 GAMMA_KINDS = ("constant", "corollary2", "corollary4")
 
@@ -137,8 +139,8 @@ class RunConfig:
     gamma: GammaRule = GammaRule.constant(0.01)
     T: int = 0
     workers: int = 1
-    delay_model: Any = None  # engines_sim.DelayModel, consistent-read sim only
-    read_model: Any = None   # engines_sim.ReadModel, inconsistent-read sims only
+    delay_model: Any = None  # engines_sim.DelayModel, required by con-sim, refused elsewhere
+    read_model: Any = None   # engines_sim.ReadModel, required by the incon sims, refused elsewhere
     checkpoint_every: int = 1
     seeds: SeedSpec = field(default_factory=lambda: SeedSpec(0))
 
@@ -161,10 +163,16 @@ class RunConfig:
             raise ValueError("gamma must be a GammaRule")
         if not isinstance(self.seeds, SeedSpec):
             raise ValueError("seeds must be a SeedSpec")
-        if self.delay_model is not None:
-            self.delay_model.validate(self.T)
-        if self.read_model is not None:
-            self.read_model.validate(self.T)
+        # the consistent rule takes delays, the inconsistent rules take read sets
+        wanted = MODEL_OF_MODE.get(self.mode)
+        for name in ("delay_model", "read_model"):
+            model = getattr(self, name)
+            if model is None and name == wanted:
+                raise ValueError(f"{name} is required in mode {self.mode!r}")
+            if model is not None and name != wanted:
+                raise ValueError(f"{name} is not taken by mode {self.mode!r}")
+            if model is not None:
+                model.validate(self.T)
 
     def fingerprint(self) -> str:
         """Config identity used to refuse mixing traces from different setups (seed excluded)."""

@@ -188,7 +188,7 @@ def run_serial_sg(p, cfg: RunConfig) -> Trace:
 
 # ------------------------------------------------------------ consistent-read simulator
 
-def run_asysg_con_sim(p, cfg: RunConfig, dm: DelayModel | None = None) -> Trace:
+def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
     """Consistent-read updates x_{k+1} = x_k - gamma * sum_m G(x_{k - tau_{k,m}}; xi_{k,m}).
 
     Every gradient is evaluated at a true past iterate held in the history ring;
@@ -197,10 +197,7 @@ def run_asysg_con_sim(p, cfg: RunConfig, dm: DelayModel | None = None) -> Trace:
     all-zero-delay case reproduces it bit for bit.
     """
     require_mode(cfg, "con-sim")
-    dm = dm if dm is not None else cfg.delay_model
-    if dm is None:
-        raise ValueError("con-sim requires a delay model")
-    dm.validate(cfg.T)
+    dm = cfg.delay_model
     gamma = resolve_gamma(cfg, p)
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
     rng_delay = derive_stream(cfg.seeds, 0, "delay")
@@ -235,11 +232,8 @@ def sparse_coordinate_update(g: np.ndarray, gamma: float, i: int) -> float:
     return -(gamma * nnz * g[i])
 
 
-def _run_incon(p, cfg: RunConfig, rm: ReadModel | None, sparse: bool, collect_log: bool):
-    rm = rm if rm is not None else cfg.read_model
-    if rm is None:
-        raise ValueError("inconsistent-read sim requires a read model")
-    rm.validate(cfg.T)
+def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
+    rm = cfg.read_model
     gamma = resolve_gamma(cfg, p)
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
     rng_coord = derive_stream(cfg.seeds, 0, "coord")
@@ -301,19 +295,19 @@ def _run_incon(p, cfg: RunConfig, rm: ReadModel | None, sparse: bool, collect_lo
     return trace
 
 
-def run_asysg_incon_sim(p, cfg: RunConfig, rm: ReadModel | None = None, collect_log: bool = False) -> Trace:
+def run_asysg_incon_sim(p, cfg: RunConfig, collect_log: bool = False) -> Trace:
     """Inconsistent-read updates: one uniformly chosen coordinate of x moves per
     iteration, by -gamma times that coordinate of the minibatch gradient taken at
     x_hat = x_k minus the read set's missed single-coordinate deltas."""
     require_mode(cfg, "incon-sim")
-    return _run_incon(p, cfg, rm, sparse=False, collect_log=collect_log)
+    return _run_incon(p, cfg, sparse=False, collect_log=collect_log)
 
 
-def run_asysg_incon_sparse_sim(p, cfg: RunConfig, rm: ReadModel | None = None, collect_log: bool = False) -> Trace:
+def run_asysg_incon_sparse_sim(p, cfg: RunConfig, collect_log: bool = False) -> Trace:
     """Sparse variant: the coordinate is uniform over the aggregated gradient's
     support and the step is scaled by the support size; zero gradients skip."""
     require_mode(cfg, "incon-sparse-sim")
-    return _run_incon(p, cfg, rm, sparse=True, collect_log=collect_log)
+    return _run_incon(p, cfg, sparse=True, collect_log=collect_log)
 
 
 def replay_incon_updates(p, gamma: float, entries: list[tuple[int, list[int]]]) -> np.ndarray:

@@ -78,11 +78,75 @@ def test_incon_sim_requires_read_model(tmp_path, capsys):
     assert "algorithm.read_model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode,models,path", [
+    ("serial", {"delay_model": {"kind": "uniform"}}, "algorithm.delay_model"),
+    ("con-sim", {"delay_model": {"kind": "uniform"}, "read_model": {"kind": "prefix", "tau": 1}},
+     "algorithm.read_model"),
+    ("incon-threads", {"delay_model": {"kind": "uniform"}}, "algorithm.delay_model"),
+])
+def test_model_the_mode_ignores_rejected(tmp_path, capsys, mode, models, path):
+    doc = base_doc(tmp_path, mode=mode, T=1, **models)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path} is not taken")
+
+
+@pytest.mark.parametrize("section,key,value,path", [
+    ("problem", "N", 3, "problem.N"),  # the quadratic's noise comes in pairs
+    ("problem", "kappa", float("nan"), "problem.kappa"),
+    ("problem", "sigma", float("inf"), "problem.sigma"),
+    ("problem", "gap", 10**400, "problem.gap"),
+    ("algorithm", "K", True, "algorithm.K"),
+    ("algorithm", "gamma", float("-inf"), "algorithm.gamma.value"),
+])
+def test_invalid_value_exits_2_naming_field(tmp_path, capsys, section, key, value, path):
+    doc = base_doc(tmp_path)
+    doc[section][key] = value
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}")
+
+
+@pytest.mark.parametrize("alg,problem,path", [
+    ({"mode": "con-sim", "delay_model": {"kind": "uniform", "tau": 1}}, None,
+     "algorithm.delay_model.tau"),
+    ({"mode": "incon-sim", "read_model": {"kind": "prefix", "tau": 1, "p": 0.5}}, None,
+     "algorithm.read_model.p"),
+    ({}, {"type": "least_squares", "kappa": 10.0}, "problem.kappa"),
+    ({}, {"type": "noisy_quadratic", "widths": [4, 2]}, "problem.widths"),
+])
+def test_key_of_another_kind_rejected(tmp_path, capsys, alg, problem, path):
+    doc = base_doc(tmp_path, T=1)
+    doc["algorithm"].update(alg)
+    doc["problem"] = problem or doc["problem"]
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: unknown key")
+
+
+def test_replicate_seeds_checked_before_any_run(tmp_path, capsys):
+    doc = base_doc(tmp_path)
+    doc["seeds"] = {"master_seed": 2**64 - 1, "replicates": 2}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: seeds.master_seed")
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["run", "--config", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+def test_integer_past_digit_limit_exits_2(tmp_path, capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)  # json refuses to convert it
+    path = tmp_path / "big.json"
+    path.write_text('{"problem": {"type": "noisy_quadratic", "n": %s}, '
+                    '"algorithm": {"mode": "serial", "K": 5}}' % digits)
+    assert main(["run", "--config", str(path)]) == 2
+    assert main(["run", "--config", write_config(tmp_path, base_doc(tmp_path)),
+                 "--override", f"problem.n={digits}"]) == 2
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "problem.n: expected a finite integer" in err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -147,6 +211,28 @@ def test_out_flag_overrides_stem(tmp_path, capsys):
     stem = str(tmp_path / "elsewhere" / "run")
     assert main(["run", "--config", cfg, "--out", stem]) == 0
     assert capsys.readouterr().out.strip() == f"{stem}.r0.csv"
+
+
+@pytest.mark.parametrize("problem", [
+    {"type": "noisy_quadratic", "n": 20, "kappa": 10.0, "sigma": 1.0, "N": 64, "gap": 1.0, "seed": 0},
+    {"type": "least_squares", "n": 10, "N": 40, "seed": 0},
+], ids=["noisy_quadratic", "least_squares"])
+def test_omitted_fields_take_constructor_defaults(tmp_path, capsys, problem):
+    minimal = {"problem": {"type": problem["type"]}, "algorithm": {"mode": "serial", "K": 50}}
+    spelled = {
+        "problem": problem,
+        "algorithm": {"mode": "serial", "K": 50, "M": 1, "T": 0, "workers": 1,
+                      "gamma": {"kind": "constant", "value": 0.01}},
+        "output": {"trace": "trace", "checkpoint_every": 1},
+        "seeds": {"master_seed": 0, "replicates": 1},
+    }
+    csvs = []
+    for name, doc in (("minimal", minimal), ("spelled", spelled)):
+        assert main(["run", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+        csvs.append((tmp_path / f"{name}.r0.csv").read_bytes())
+    capsys.readouterr()
+    assert csvs[0] == csvs[1]
 
 
 def test_sim_rerun_is_bit_identical(tmp_path, capsys):

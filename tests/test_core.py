@@ -14,6 +14,7 @@ from asysg.core import (
     TraceRow,
     derive_stream,
 )
+from asysg.engines_sim import DelayModel, ReadModel
 
 
 # ---------------------------------------------------------------- streams
@@ -159,6 +160,30 @@ def test_runconfig_sim_modes_single_worker():
     with pytest.raises(ValueError):
         _cfg(mode="con-sim", workers=2)
     _cfg(mode="incon-threads", workers=4)  # threaded modes take several
+
+
+UNIFORM, PREFIX = DelayModel.uniform(), ReadModel.prefix(0)
+
+
+@pytest.mark.parametrize("mode,models,message", [
+    ("serial", dict(delay_model=UNIFORM), "delay_model is not taken by mode 'serial'"),
+    ("serial", dict(read_model=PREFIX), "read_model is not taken by mode 'serial'"),
+    ("con-sim", {}, "delay_model is required in mode 'con-sim'"),
+    ("con-sim", dict(delay_model=UNIFORM, read_model=PREFIX), "read_model is not taken"),
+    ("incon-sim", {}, "read_model is required in mode 'incon-sim'"),
+    ("incon-sparse-sim", dict(read_model=PREFIX, delay_model=UNIFORM), "delay_model is not taken"),
+    ("con-threads", dict(delay_model=UNIFORM), "delay_model is not taken"),
+    ("incon-threads", dict(read_model=PREFIX), "read_model is not taken"),
+])
+def test_runconfig_mode_model_rule(mode, models, message):
+    with pytest.raises(ValueError, match=message):
+        _cfg(mode=mode, **models)
+
+
+def test_runconfig_threaded_modes_take_T():
+    # the theory report reads T for threaded setups too
+    assert _cfg(mode="con-threads", T=3).T == 3
+    assert _cfg(mode="incon-threads", T=3).T == 3
 
 
 def test_runconfig_fingerprint_ignores_seed():

@@ -216,14 +216,14 @@ def test_con_sim_rejects_delay_above_bound():
             return [T + 1] * M
 
     with pytest.raises(EngineError) as exc:
-        run_asysg_con_sim(quad_1d(), cfg_for("con-sim", K=5, T=2), dm=RogueDelays())
+        run_asysg_con_sim(quad_1d(), cfg_for("con-sim", K=5, T=2, dm=RogueDelays()))
     assert exc.value.trace is not None
     assert len(exc.value.trace) >= 1
 
 
 def test_con_sim_requires_delay_model():
-    with pytest.raises(ValueError):
-        run_asysg_con_sim(quad_1d(), cfg_for("con-sim", K=2, T=1))
+    with pytest.raises(ValueError, match="delay_model is required"):
+        cfg_for("con-sim", K=2, T=1)
 
 
 def test_con_sim_trace_respects_delay_cap():
@@ -343,8 +343,8 @@ def test_incon_sim_deterministic_and_seed_sensitive():
 
 
 def test_incon_sim_requires_read_model():
-    with pytest.raises(ValueError):
-        run_asysg_incon_sim(quad_1d(), cfg_for("incon-sim", K=2, T=1))
+    with pytest.raises(ValueError, match="read_model is required"):
+        cfg_for("incon-sim", K=2, T=1)
 
 
 def test_incon_sim_rejects_read_set_outside_window():
@@ -359,7 +359,7 @@ def test_incon_sim_rejects_read_set_outside_window():
             return [(k,)] * M  # j = k is not a past update
 
     with pytest.raises(EngineError):
-        run_asysg_incon_sim(quad_1d(), cfg_for("incon-sim", K=3, T=2), rm=RogueReads())
+        run_asysg_incon_sim(quad_1d(), cfg_for("incon-sim", K=3, T=2, rm=RogueReads()))
 
 
 def test_replay_helper_matches_engine():
