@@ -128,6 +128,11 @@ class HistoryRing:
             raise IndexError(f"history index {j} already evicted (oldest kept: {self._count - len(self._slots)})")
         return self._slots[j % len(self._slots)]
 
+    def __getitem__(self, j: int):
+        """Item j without get's window checks, for callers that have already checked
+        that j lies in the window: an index outside it returns another item."""
+        return self._slots[j % len(self._slots)]
+
 
 @dataclass(frozen=True)
 class RunConfig:

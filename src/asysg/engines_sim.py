@@ -10,13 +10,25 @@ rule reads one entry of that sum, so it asks each read group for the entry alone
 the default oracle, which takes the entry from the full batch sum, the result is
 the same float as entry i of the vector sum.  The sparse variant draws its
 coordinate from the whole gradient's support and keeps the vector sum.
+
+Draws come in blocks: one RNG call per stream covers up to DRAW_BLOCK
+iterations (samples as a (B, M) array, delays, incon-sim coordinates, and
+random-subset read masks as a (B, M, T) array), so the number of numpy calls
+per update falls while the drawn arrays stay bounded whatever K is.  The bits
+do not change, because each stream is a Philox generator of its own and
+numpy fills a block in the same order, from the same generator state, as it
+fills consecutive per-iteration calls of the block's rows
+(`tests/test_core.py` pins this for every shape used here).  Two draws stay
+per iteration: read masks of the warm-up iterations k < T, whose windows are
+narrower, and the sparse variant's coordinate, whose range is the support of
+the gradient just computed.  Each iteration's delays and read masks are
+checked against its window once; the ring's slots are then read unchecked.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable
+from typing import Iterator
 
 import numpy as np
 
@@ -58,12 +70,18 @@ class DelayModel:
     def describe(self) -> str:
         return f"fixed({self.tau})" if self.kind == "fixed" else self.kind
 
-    def draw(self, rng: np.random.Generator, k: int, M: int, T: int) -> list[int]:
+    def draw_block(self, rng: np.random.Generator, k0: int, B: int, M: int, T: int) -> np.ndarray:
+        """Delays of iterations k0 .. k0+B-1 as a (B, M) integer array; row b is
+        bit for bit what B draws of one iteration each would give."""
         if self.kind == "fixed":
-            return [self.tau] * M
+            return np.full((B, M), self.tau)
         if self.kind == "uniform":
-            return [int(t) for t in rng.integers(0, T + 1, size=M)]
-        return [k % (T + 1)] * M  # cyclic
+            return rng.integers(0, T + 1, size=(B, M))
+        return np.broadcast_to(((k0 + np.arange(B)) % (T + 1))[:, None], (B, M))  # cyclic
+
+    def draw(self, rng: np.random.Generator, k: int, M: int, T: int) -> list[int]:
+        """The M delays of iteration k."""
+        return self.draw_block(rng, k, 1, M, T)[0].tolist()
 
     @classmethod
     def fixed(cls, tau: int) -> "DelayModel":
@@ -108,19 +126,25 @@ class ReadModel:
     def describe(self) -> str:
         return f"prefix({self.tau})" if self.kind == "prefix" else f"random-subset(p={self.p})"
 
+    def draw_block(self, rng: np.random.Generator, k0: int, B: int, M: int, T: int) -> np.ndarray:
+        """Read sets of iterations k0 .. k0+B-1 as a (B, M, w) boolean array over the
+        window of w = min(k0, T) updates: entry t is True when the read misses update
+        k - w + t.  Every iteration of a block must have the same window, so B > 1
+        needs k0 >= T.  Row b is bit for bit what B draws of one iteration each give."""
+        w = min(k0, T)
+        if B > 1 and k0 < T:
+            raise ValueError(f"a block of {B} iterations from k0={k0} < T={T} spans windows of several widths")
+        if self.kind == "prefix":
+            masks = np.zeros((B, M, w), dtype=bool)
+            masks[..., w - min(self.tau, w):] = True  # the tau most recent updates
+            return masks
+        return rng.random((B, M, w)) < self.p
+
     def draw(self, rng: np.random.Generator, k: int, M: int, T: int) -> list[tuple[int, ...]]:
         """M read sets, each an ascending tuple inside [max(0, k-T), k-1]."""
-        if self.kind == "prefix":
-            tau_eff = min(self.tau, T, k)
-            J = tuple(range(k - tau_eff, k))
-            return [J] * M
-        lo = max(0, k - T)
-        window = range(lo, k)
-        out = []
-        for _ in range(M):
-            mask = rng.random(len(window)) < self.p
-            out.append(tuple(j for j, hit in zip(window, mask) if hit))
-        return out
+        masks = self.draw_block(rng, k, 1, M, T)[0]
+        lo = k - masks.shape[1]
+        return [tuple(lo + int(t) for t in np.flatnonzero(row)) for row in masks]
 
     @classmethod
     def prefix(cls, tau: int) -> "ReadModel":
@@ -145,26 +169,29 @@ def resolve_gamma(cfg: RunConfig, p) -> float:
     return theory.steplength_corollary4(p.gap, p.n, cfg.K, L_T, cfg.M, math.sqrt(p.sigma_sq))
 
 
-def _grouped_grad_sum(p, reads: Iterable, xis: np.ndarray, i: int | None = None):
-    """Accumulate sum_m G(read_m, xi_m) left to right, batching consecutive equal reads.
+DRAW_BLOCK = 1024  # iterations per RNG call: the drawn arrays stay this small whatever K is
 
-    `reads` yields one (key, x) pair per m; consecutive entries with the same key
-    share one oracle call, so the fixed-delay case is a single call on the whole
-    minibatch, bit-identical to the serial path.  With a coordinate i the sum is
-    of entry i alone: one coordinate_gradient_sum scalar per group, added in the
-    same order as the vectors.
+
+def _blocks(K: int) -> Iterator[tuple[int, int]]:
+    """[k0, k1) of each draw block of a K-iteration run."""
+    for k0 in range(0, K, DRAW_BLOCK):
+        yield k0, min(k0 + DRAW_BLOCK, K)
+
+
+def _runs(keys: list) -> Iterator[tuple[int, int]]:
+    """[a, b) of each run of equal consecutive keys, in order.
+
+    The samples of one run read the same point and share one oracle call, so the
+    fixed-delay case is a single call on the whole minibatch, bit-identical to
+    the serial path, and summing the runs' results in order keeps the left to
+    right order over m.
     """
-    acc = np.zeros(p.n) if i is None else 0.0
-    pairs = list(enumerate(reads))
-    for _, group in groupby(pairs, key=lambda e: e[1][0]):
-        group = list(group)
-        x_read = group[0][1][1]
-        idx = [m for m, _ in group]
-        if i is None:
-            acc += p.batch_gradient_sum(x_read, xis[idx])
-        else:
-            acc += p.coordinate_gradient_sum(x_read, xis[idx], i)
-    return acc
+    a = 0
+    for b in range(1, len(keys)):
+        if keys[b] != keys[a]:
+            yield a, b
+            a = b
+    yield a, len(keys)
 
 
 # ------------------------------------------------------------ serial baseline
@@ -176,12 +203,12 @@ def run_serial_sg(p, cfg: RunConfig) -> Trace:
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
     x = p.x1
     rec = Recorder(p, cfg, gamma)
-    for k in range(cfg.K):
-        if rec.due(k):
-            rec.snap(k, x)
-        xis = rng_sample.integers(1, p.sample_count + 1, size=cfg.M)
-        g = p.batch_gradient_sum(x, xis)
-        x = x - gamma * g
+    for k0, k1 in _blocks(cfg.K):
+        S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, cfg.M))
+        for k, xis in zip(range(k0, k1), S):
+            if rec.due(k):
+                rec.snap(k, x)
+            x = x - gamma * p.batch_gradient_sum(x, xis)
     rec.snap(cfg.K, x)
     return rec.finish(delay_cap=0)
 
@@ -197,31 +224,34 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
     all-zero-delay case reproduces it bit for bit.
     """
     require_mode(cfg, "con-sim")
-    dm = cfg.delay_model
+    dm, M, T = cfg.delay_model, cfg.M, cfg.T
     gamma = resolve_gamma(cfg, p)
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
     rng_delay = derive_stream(cfg.seeds, 0, "delay")
 
     x = p.x1
-    ring = HistoryRing(cfg.T)
+    ring = HistoryRing(T)
     ring.append(x)
     rec = Recorder(p, cfg, gamma)
     max_delay = 0
-    for k in range(cfg.K):
-        if rec.due(k):
-            rec.snap(k, x, max_delay)
-        xis = rng_sample.integers(1, p.sample_count + 1, size=cfg.M)
-        taus = dm.draw(rng_delay, k, cfg.M, cfg.T)
-        if any(t < 0 or t > cfg.T for t in taus):
-            raise EngineError(f"delay model produced tau outside [0, {cfg.T}]: {taus}", rec.trace())
-        eff = [min(t, k) for t in taus]  # warm-up clamp
-        max_delay = max(max_delay, max(eff))
-        reads = [(tau, ring.get(k - tau, k)) for tau in eff]
-        acc = _grouped_grad_sum(p, reads, xis)
-        x = x - gamma * acc
-        ring.append(x)
+    for k0, k1 in _blocks(cfg.K):
+        S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, M))
+        D = dm.draw_block(rng_delay, k0, k1 - k0, M, T).tolist()
+        for k, xis, taus in zip(range(k0, k1), S, D):
+            if rec.due(k):
+                rec.snap(k, x, max_delay)
+            if min(taus) < 0 or max(taus) > T:
+                raise EngineError(f"delay model produced tau outside [0, {T}]: {taus}", rec.trace())
+            if k < T:
+                taus = [min(t, k) for t in taus]  # warm-up clamp
+            max_delay = max(max_delay, max(taus))
+            acc = np.zeros(p.n)
+            for a, b in _runs(taus):  # 0 <= tau <= min(k, T): iterate k - tau is in the ring
+                acc += p.batch_gradient_sum(ring[k - taus[a]], xis[a:b])
+            x = x - gamma * acc
+            ring.append(x)
     rec.snap(cfg.K, x, max_delay)
-    return rec.finish(delay_cap=cfg.T)
+    return rec.finish(delay_cap=T)
 
 
 # ------------------------------------------------------------ inconsistent-read simulators
@@ -232,62 +262,77 @@ def sparse_coordinate_update(g: np.ndarray, gamma: float, i: int) -> float:
     return -(gamma * nnz * g[i])
 
 
+def _read_masks(rm, rng: np.random.Generator, k0: int, k1: int, M: int, T: int) -> list[np.ndarray]:
+    """The (M, min(k, T)) read masks of iterations k0 .. k1-1: one draw per warm-up
+    iteration (k < T, whose windows are narrower), one block draw for the rest."""
+    warm = [rm.draw_block(rng, k, 1, M, T)[0] for k in range(k0, min(k1, T))]
+    full = max(k0, T)
+    return warm + (list(rm.draw_block(rng, full, k1 - full, M, T)) if full < k1 else [])
+
+
 def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
-    rm = cfg.read_model
+    rm, M, T = cfg.read_model, cfg.M, cfg.T
     gamma = resolve_gamma(cfg, p)
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
     rng_coord = derive_stream(cfg.seeds, 0, "coord")
     rng_read = derive_stream(cfg.seeds, 0, "read")
 
     x = p.x1
-    ring = HistoryRing(cfg.T)  # per-iteration single-coordinate deltas (i_j, delta_j)
+    ring = HistoryRing(T)  # per-iteration single-coordinate deltas (i_j, delta_j)
     rec = Recorder(p, cfg, gamma)
     log: list[dict] | None = [] if collect_log else None
     max_delay = 0
     skips = 0
-    for k in range(cfg.K):
-        if rec.due(k):
-            rec.snap(k, x, max_delay)
-        xis = rng_sample.integers(1, p.sample_count + 1, size=cfg.M)
-        if not sparse:
-            i_k = int(rng_coord.integers(p.n))  # uniform coordinate, drawn before gradients
-        Js = rm.draw(rng_read, k, cfg.M, cfg.T)
-        lo = max(0, k - cfg.T)
-        reads = []
-        prev_J, xhat = None, None
-        for J in Js:
-            if len(J) > cfg.T or any(j < lo or j >= k for j in J):
-                raise EngineError(f"read set {J} outside window [{lo}, {k - 1}]", rec.trace())
-            if J:
-                max_delay = max(max_delay, k - min(J))
-            if J != prev_J:  # equal read sets reconstruct bitwise-equal vectors; share one
-                xhat = x.copy()
-                for j in reversed(J):  # roll back the missed updates, newest first
-                    i_j, d_j = ring.get(j, k)
-                    xhat[i_j] -= d_j
-                prev_J = J
-            reads.append((J, xhat))
+    for k0, k1 in _blocks(cfg.K):
+        S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, M))
+        if not sparse:  # uniform coordinates, drawn before the gradients
+            coords = rng_coord.integers(p.n, size=k1 - k0).tolist()
+        R = _read_masks(rm, rng_read, k0, k1, M, T)
+        for b, k in enumerate(range(k0, k1)):
+            if rec.due(k):
+                rec.snap(k, x, max_delay)
+            xis = S[b]
+            w = min(k, T)
+            lo = k - w
+            if R[b].shape != (M, w):
+                raise EngineError(f"read masks of shape {R[b].shape} do not cover the window "
+                                  f"[{lo}, {k - 1}] for {M} reads", rec.trace())
+            rows = R[b].tolist()
+            if not sparse:
+                i_k = coords[b]
+            acc = np.zeros(p.n) if sparse else 0.0
+            for a, e in _runs(rows):  # equal read sets reconstruct the same vector: share it
+                row, xhat = rows[a], x
+                if True in row:
+                    max_delay = max(max_delay, w - row.index(True))
+                    xhat = x.copy()
+                    for t in range(w - 1, -1, -1):  # roll back the missed updates, newest first
+                        if row[t]:
+                            i_j, d_j = ring[lo + t]
+                            xhat[i_j] -= d_j
+                if sparse:  # the coordinate is drawn from the gradient's support: needs all of it
+                    acc += p.batch_gradient_sum(xhat, xis[a:e])
+                else:
+                    acc += p.coordinate_gradient_sum(xhat, xis[a:e], i_k)
 
-        if sparse:  # the coordinate is drawn from the gradient's support: needs all of it
-            acc = _grouped_grad_sum(p, reads, xis)
-            support = np.flatnonzero(acc)
-            if len(support) == 0:
-                skips += 1  # zero aggregate gradient: skip, x untouched
-                ring.append((0, 0.0))
-                if log is not None:
-                    log.append({"k": k, "xis": [int(v) for v in xis], "i": 0,
-                                "J": [tuple(J) for J in Js], "delta": 0.0})
-                continue
-            i_k = int(support[rng_coord.integers(len(support))])
-            delta = sparse_coordinate_update(acc, gamma, i_k)
-        else:
-            delta = -(gamma * _grouped_grad_sum(p, reads, xis, i_k))
-        x[i_k] += delta
-        ring.append((i_k, delta))
-        if log is not None:
-            log.append({"k": k, "xis": [int(v) for v in xis], "i": i_k, "J": [tuple(J) for J in Js], "delta": delta})
+            if not sparse:
+                delta = -(gamma * acc)
+                x[i_k] += delta
+            else:
+                support = np.flatnonzero(acc)
+                if len(support) == 0:  # zero aggregate gradient: skip, x untouched
+                    skips += 1
+                    i_k, delta = 0, 0.0
+                else:
+                    i_k = int(support[rng_coord.integers(len(support))])
+                    delta = sparse_coordinate_update(acc, gamma, i_k)
+                    x[i_k] += delta
+            ring.append((i_k, delta))
+            if log is not None:
+                Js = [tuple(lo + t for t in range(w) if row[t]) for row in rows]
+                log.append({"k": k, "xis": xis.tolist(), "i": i_k, "J": Js, "delta": delta})
     rec.snap(cfg.K, x, max_delay)
-    trace = rec.finish(delay_cap=cfg.T)
+    trace = rec.finish(delay_cap=T)
     trace.meta["sparse_skips"] = skips
     if log is not None:
         trace.meta["log"] = log

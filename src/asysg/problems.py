@@ -131,15 +131,19 @@ class NoisyQuadratic(Problem):
         # Q is PSD so min f = 0 at x*; the gap from x1 is exact
         self.gap = self.objective(self._x1)
 
-    def noise_vector(self, xi: int) -> np.ndarray:
-        """Noise of sample xi: pair p = (xi-1)//2 gives direction e_{p mod n}, odd xi positive."""
+    def _noise_entry(self, xi: int) -> tuple[int, float]:
+        """The one entry of sample xi's noise that may be nonzero, as (coordinate, value):
+        pair p = (xi-1)//2 gives direction e_{p mod n}, odd xi positive.  With sigma = 0
+        the value is +0.0, the entry of an all-zero vector."""
         xi = self._check_xi(xi)
-        z = np.zeros(self.n)
         if self.sigma == 0.0:
-            return z
-        pair = (xi - 1) // 2
-        sign = 1.0 if xi % 2 == 1 else -1.0
-        z[pair % self.n] = sign * self.sigma
+            return 0, 0.0
+        return ((xi - 1) // 2) % self.n, (self.sigma if xi % 2 == 1 else -self.sigma)
+
+    def noise_vector(self, xi: int) -> np.ndarray:
+        j, s = self._noise_entry(xi)
+        z = np.zeros(self.n)
+        z[j] = s
         return z
 
     def objective(self, x: np.ndarray) -> float:
@@ -147,10 +151,47 @@ class NoisyQuadratic(Problem):
         return 0.5 * float(d @ (self.Q @ d))
 
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._gradient(x)
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        # the oracles' own copy of full_gradient, so that a caller counting the
+        # public evaluations (the benchmark's spans) sees only evaluations
         return self.Q @ (self._check_x(x) - self.x_star)
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        # objective and full_gradient share d and Q d, bit for bit
+        d = self._check_x(x) - self.x_star
+        Qd = self.Q @ d
+        return 0.5 * float(d @ Qd), Qd
 
     def stochastic_gradient(self, x: np.ndarray, xi: int) -> np.ndarray:
         return self.full_gradient(x) + self.noise_vector(xi)
+
+    def batch_gradient_sum(self, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
+        # grad f(x) once per call; then, per sample and left to right, the same
+        # floats as acc += stochastic_gradient(x, xi): every entry adds g, except
+        # the noise entry j, which adds g_j + s.  (Adding g_j + 0.0 instead of g_j
+        # changes nothing: acc starts at +0.0, so it never holds -0.0.)
+        g = self._gradient(x)
+        gl = g.tolist()
+        acc = np.zeros(self.n)
+        for xi in np.asarray(xis, dtype=int).tolist():
+            j, s = self._noise_entry(xi)
+            a = acc[j]
+            acc += g
+            acc[j] = a + (gl[j] + s)
+        return acc
+
+    def coordinate_gradient_sum(self, x: np.ndarray, xis: np.ndarray, i: int) -> float:
+        # entry i of batch_gradient_sum on Python floats; g_i is entry i of the
+        # whole Q d, which a row product Q[i] @ d may round differently
+        i = self._check_coord(i)
+        gi = float(self._gradient(x)[i])
+        acc = 0.0
+        for xi in np.asarray(xis, dtype=int).tolist():
+            j, s = self._noise_entry(xi)
+            acc += gi + (s if j == i else 0.0)
+        return acc
 
     def l_s(self, s: int) -> float:
         s = max(1, min(int(s), self.n))
@@ -215,6 +256,11 @@ class LeastSquares(Problem):
     def full_gradient(self, x: np.ndarray) -> np.ndarray:
         r = self.A @ self._check_x(x) - self.b
         return self.A.T @ r / self.sample_count
+
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        # objective and full_gradient share the residual, bit for bit
+        r = self.A @ self._check_x(x) - self.b
+        return 0.5 * float(r @ r) / self.sample_count, self.A.T @ r / self.sample_count
 
     def stochastic_gradient(self, x: np.ndarray, xi: int) -> np.ndarray:
         xi = self._check_xi(xi)

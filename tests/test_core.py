@@ -45,6 +45,35 @@ def test_stream_distinct_purpose():
     assert len(set(draws.values())) == 4
 
 
+# The simulators draw a block of iterations per call and rely on it giving the
+# same values as one call per iteration; a numpy release that broke this would
+# change every simulator trace without failing anything else.
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 9, 32])
+def test_stream_block_integers_equal_per_iteration_calls(M):
+    for seed, N in ((0, 64), (7, 8), (123, 1000)):
+        block = derive_stream(SeedSpec(seed), 0, "sample").integers(1, N + 1, size=(37, M))
+        rng = derive_stream(SeedSpec(seed), 0, "sample")
+        rows = [rng.integers(1, N + 1, size=M) for _ in range(37)]
+        assert np.array_equal(block, np.array(rows))
+
+
+def test_stream_block_scalar_integers_equal_per_iteration_calls():
+    for seed, n in ((0, 20), (5, 6), (9, 1)):
+        block = derive_stream(SeedSpec(seed), 0, "coord").integers(n, size=41)
+        rng = derive_stream(SeedSpec(seed), 0, "coord")
+        assert block.tolist() == [int(rng.integers(n)) for _ in range(41)]
+
+
+@pytest.mark.parametrize("T", [1, 4, 9])
+def test_stream_block_random_equal_per_iteration_calls(T):
+    B, M = 23, 3
+    block = derive_stream(SeedSpec(2), 0, "read").random((B, M, T))
+    rng = derive_stream(SeedSpec(2), 0, "read")
+    rows = [[rng.random(T) for _ in range(M)] for _ in range(B)]
+    assert np.array_equal(block, np.array(rows))
+
+
 def test_stream_rejects_negative_worker():
     with pytest.raises(ValueError):
         derive_stream(SeedSpec(1), -1, "sample")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asysg import theory
+from asysg import engines_sim, theory
 from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, derive_stream
 from asysg.engines_sim import (
     DelayModel,
@@ -215,6 +215,9 @@ def test_con_sim_rejects_delay_above_bound():
         def draw(self, rng, k, M, T):
             return [T + 1] * M
 
+        def draw_block(self, rng, k0, B, M, T):
+            return np.full((B, M), T + 1)
+
     with pytest.raises(EngineError) as exc:
         run_asysg_con_sim(quad_1d(), cfg_for("con-sim", K=5, T=2, dm=RogueDelays()))
     assert exc.value.trace is not None
@@ -358,6 +361,10 @@ def test_incon_sim_rejects_read_set_outside_window():
         def draw(self, rng, k, M, T):
             return [(k,)] * M  # j = k is not a past update
 
+        def draw_block(self, rng, k0, B, M, T):
+            # one column too many: the last one would be j = k, not a past update
+            return np.ones((B, M, min(k0, T) + 1), dtype=bool)
+
     with pytest.raises(EngineError):
         run_asysg_incon_sim(quad_1d(), cfg_for("incon-sim", K=3, T=2, rm=RogueReads()))
 
@@ -432,6 +439,47 @@ def test_sparse_sim_descends_on_noiseless_quadratic():
     tr = run_asysg_incon_sparse_sim(
         p, cfg_for("incon-sparse-sim", K=60, M=1, gamma=0.05, T=0, rm=ReadModel.prefix(0)))
     assert tr.rows[-1].f < 0.2 * tr.rows[0].f
+
+
+# ------------------------------------------------------------ block draws
+
+_BLOCK_CASES = {
+    "serial": ("serial", {}),
+    "con-uniform": ("con-sim", {"dm": DelayModel.uniform()}),
+    "con-cyclic": ("con-sim", {"dm": DelayModel.cyclic()}),
+    "con-fixed": ("con-sim", {"dm": DelayModel.fixed(4)}),
+    "incon-prefix": ("incon-sim", {"rm": ReadModel.prefix(6)}),
+    "incon-random-subset": ("incon-sim", {"rm": ReadModel.random_subset(0.5)}),
+    "incon-sparse": ("incon-sparse-sim", {"rm": ReadModel.random_subset(0.5)}),
+}
+_ENGINE_OF = {"serial": run_serial_sg, "con-sim": run_asysg_con_sim,
+              "incon-sim": run_asysg_incon_sim, "incon-sparse-sim": run_asysg_incon_sparse_sim}
+
+
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_block_length_leaves_runs_unchanged(case, monkeypatch):
+    """Blocks of 1 and of 7 iterations (7 does not divide K and is shorter than
+    the T=9 warm-up) give the same run as the default block."""
+    mode, models = _BLOCK_CASES[case]
+    p = make_noisy_quadratic(n=6, sigma=1.0, N=8)
+    T = 0 if mode == "serial" else 9
+    cfg = cfg_for(mode, K=45, M=3, gamma=0.01 if mode == "incon-sparse-sim" else 0.05,
+                  T=T, seed=19, **models)
+    kw = {"collect_log": True} if mode.startswith("incon") else {}
+
+    def run():
+        tr = _ENGINE_OF[mode](p, cfg, **kw)
+        x_final = tr.meta.get("x_final")
+        return tr.rows_excluding_time(), x_final is not None and x_final.tobytes(), tr.meta.get("log")
+
+    rows, x_final, log = run()
+    assert len(rows) == 46
+    for block in (1, 7):
+        monkeypatch.setattr(engines_sim, "DRAW_BLOCK", block)
+        b_rows, b_x_final, b_log = run()
+        assert b_rows == rows
+        assert b_x_final == x_final
+        assert b_log == log
 
 
 # ------------------------------------------------------------ gamma resolution

@@ -105,6 +105,61 @@ def test_quadratic_validation():
         NoisyQuadratic(-np.eye(2), np.zeros(2), 1.0, 8, np.zeros(2))  # not PSD
 
 
+def _signed_points(p, rng, count):
+    """Points with some entries -0.0 and some exactly x*, so signed zeros reach the oracle."""
+    for _ in range(count):
+        x = rng.standard_normal(p.n)
+        x[rng.random(p.n) < 0.3] = -0.0
+        x[rng.random(p.n) < 0.2] = 0.0
+        yield x
+    yield p.x_star.copy()
+    yield -0.0 * np.ones(p.n)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.7])
+def test_quadratic_batch_sum_is_the_per_sample_loop_bitwise(sigma):
+    p = NoisyQuadratic(np.diag(np.linspace(0.2, 1.0, 5)), np.zeros(5), sigma, 12, np.ones(5))
+    rng = np.random.default_rng(21)
+    batches = [np.arange(1, p.sample_count + 1)[:0], np.array([3, 3, 3, 4]), np.array([1, 12, 1, 2, 12])]
+    batches += [rng.integers(1, p.sample_count + 1, size=M) for M in (1, 4, 32)]
+    for x in _signed_points(p, rng, 8):
+        for xis in batches:
+            loop = np.zeros(p.n)
+            for xi in xis:  # the definition: left to right over the samples
+                loop += p.stochastic_gradient(x, int(xi))
+            got = p.batch_gradient_sum(x, xis)
+            assert np.array_equal(got, loop)
+            assert np.array_equal(np.signbit(got), np.signbit(loop))
+            for i in range(p.n):
+                c = p.coordinate_gradient_sum(x, xis, i)
+                assert c == loop[i] and np.signbit(c) == np.signbit(loop[i])
+
+
+def test_quadratic_oracles_reject_bad_indices():
+    p = _identity_quadratic(N=8)
+    for xis in ([0, 1], [1, p.sample_count + 1]):
+        with pytest.raises(ValueError, match="sample index"):
+            p.batch_gradient_sum(p.x1, xis)
+        with pytest.raises(ValueError, match="sample index"):
+            p.coordinate_gradient_sum(p.x1, xis, 0)
+    with pytest.raises(ValueError, match="coordinate"):
+        p.coordinate_gradient_sum(p.x1, [1], p.n)
+
+
+@pytest.mark.parametrize("make", [lambda: make_noisy_quadratic(n=7, N=16),
+                                  lambda: make_least_squares(n=5, N=20)],
+                         ids=["quadratic", "least_squares"])
+def test_value_and_gradient_is_objective_and_full_gradient_bitwise(make):
+    p = make()
+    rng = np.random.default_rng(4)
+    for x in [p.x1] + [p.x1 + rng.standard_normal(p.n) for _ in range(5)]:
+        f, g = p.value_and_gradient(x)
+        assert f == p.objective(x)
+        assert g.tobytes() == p.full_gradient(x).tobytes()
+    with pytest.raises(ValueError):
+        p.value_and_gradient(np.zeros(p.n + 1))
+
+
 def test_make_noisy_quadratic_gap_exact():
     p = make_noisy_quadratic(n=20, kappa=10.0, sigma=1.0, N=64, gap=1.0)
     assert p.gap == pytest.approx(1.0, abs=1e-12)
