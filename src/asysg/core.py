@@ -15,7 +15,6 @@ import numpy as np
 
 MODES = ("serial", "con-sim", "incon-sim", "incon-sparse-sim", "con-threads", "incon-threads")
 SIM_MODES = ("serial", "con-sim", "incon-sim", "incon-sparse-sim")
-THREAD_MODES = ("con-threads", "incon-threads")
 # the one asynchrony model each simulator mode requires; every other mode refuses both
 MODEL_OF_MODE = {"con-sim": "delay_model", "incon-sim": "read_model", "incon-sparse-sim": "read_model"}
 
@@ -104,10 +103,6 @@ class HistoryRing:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def latest_index(self) -> int:
-        return self._count - 1
 
     def append(self, item: Any) -> int:
         """Store item under the next index and return that index."""

@@ -202,7 +202,7 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     gamma = resolve_gamma(cfg, p)
     x = p.x1
     published = [(0, x.copy())]  # single-slot publish; item load is one bytecode
-    pushes: queue.Queue = queue.Queue(maxsize=max(2, cfg.workers))
+    pushes: queue.SimpleQueue = queue.SimpleQueue()  # unbounded: a slot admits one queued push per worker
     slots = [threading.Semaphore(1) for _ in range(cfg.workers)]
     pool = _WorkerPool()
 
@@ -215,12 +215,7 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
             while not slots[w].acquire(timeout=_POLL):  # previous push must land first
                 if pool.stop.is_set():
                     return
-            while not pool.stop.is_set():
-                try:
-                    pushes.put((w, version, gsum), timeout=_POLL)
-                    break
-                except queue.Full:
-                    continue
+            pushes.put((w, version, gsum))
 
     rec = Recorder(p, cfg, gamma)
     log_pairs: list[tuple[int, int]] = []

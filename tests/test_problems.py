@@ -5,10 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from asysg.core import MODES, SIM_MODES, GammaRule, RunConfig, SeedSpec
+from asysg.engines_parallel import run_lockfree_shared, run_param_server
+from asysg.engines_sim import (
+    DelayModel,
+    ReadModel,
+    run_asysg_con_sim,
+    run_asysg_incon_sim,
+    run_asysg_incon_sparse_sim,
+    run_serial_sg,
+)
 from asysg.problems import (
     LeastSquares,
     MlpSpec,
     NoisyQuadratic,
+    Problem,
     SyntheticMlp,
     estimate_lipschitz,
     estimate_sigma_sq,
@@ -33,12 +44,25 @@ def test_quadratic_gradient_identity():
     assert np.array_equal(p.full_gradient(p.x_star), [0.0, 0.0])
 
 
+def _pair_noise(p, xi):
+    """z_xi by the documented rule: pair (xi-1)//2 moves coordinate pair mod n,
+    +sigma for odd xi and -sigma for even; all +0.0 when sigma = 0."""
+    z = np.zeros(p.n)
+    if p.sigma:
+        z[((xi - 1) // 2) % p.n] = p.sigma if xi % 2 else -p.sigma
+    return z
+
+
 def test_quadratic_noise_pairs_cancel_exactly():
     p = _identity_quadratic(sigma=1.7, N=12)
     acc = np.zeros(p.n)
     for xi in range(1, p.sample_count + 1):
-        acc += p.noise_vector(xi)  # left-to-right, pairs cancel bitwise
+        z = _pair_noise(p, xi)
+        assert p.stochastic_gradient(p.x_star, xi).tobytes() == z.tobytes()  # grad f(x*) = 0
+        acc += z  # left-to-right, pairs cancel bitwise
     assert np.array_equal(acc, np.zeros(p.n))
+    everything = p.batch_gradient_sum(p.x_star, np.arange(1, p.sample_count + 1))
+    assert everything.tobytes() == np.zeros(p.n).tobytes()
 
 
 def test_quadratic_unbiased_mean_of_samples():
@@ -94,10 +118,6 @@ def test_support_constants_enumerate_once(monkeypatch):
 def test_quadratic_validation():
     p = _identity_quadratic()
     with pytest.raises(ValueError):
-        p.stochastic_gradient(p.x1, 0)
-    with pytest.raises(ValueError):
-        p.stochastic_gradient(p.x1, p.sample_count + 1)
-    with pytest.raises(ValueError):
         p.full_gradient(np.zeros(3))
     with pytest.raises(ValueError):
         NoisyQuadratic(np.eye(2), np.zeros(2), 1.0, 7, np.zeros(2))  # odd N
@@ -126,7 +146,9 @@ def test_quadratic_batch_sum_is_the_per_sample_loop_bitwise(sigma):
         for xis in batches:
             loop = np.zeros(p.n)
             for xi in xis:  # the definition: left to right over the samples
-                loop += p.stochastic_gradient(x, int(xi))
+                g = p.Q @ (x - p.x_star) + _pair_noise(p, int(xi))
+                assert p.stochastic_gradient(x, int(xi)).tobytes() == g.tobytes()
+                loop += g
             got = p.batch_gradient_sum(x, xis)
             assert np.array_equal(got, loop)
             assert np.array_equal(np.signbit(got), np.signbit(loop))
@@ -146,16 +168,30 @@ def test_quadratic_oracles_reject_bad_indices():
         p.coordinate_gradient_sum(p.x1, [1], p.n)
 
 
-@pytest.mark.parametrize("make", [lambda: make_noisy_quadratic(n=7, N=16),
-                                  lambda: make_least_squares(n=5, N=20)],
+def _quadratic_value_and_gradient(p, x):
+    d = x - p.x_star
+    Qd = p.Q @ d
+    return 0.5 * float(d @ Qd), Qd
+
+
+def _least_squares_value_and_gradient(p, x):
+    r = p.A @ x - p.b
+    return 0.5 * float(r @ r) / p.sample_count, p.A.T @ r / p.sample_count
+
+
+@pytest.mark.parametrize("make, reference",
+                         [(lambda: make_noisy_quadratic(n=7, N=16), _quadratic_value_and_gradient),
+                          (lambda: make_least_squares(n=5, N=20), _least_squares_value_and_gradient)],
                          ids=["quadratic", "least_squares"])
-def test_value_and_gradient_is_objective_and_full_gradient_bitwise(make):
+def test_value_and_gradient_is_objective_and_full_gradient_bitwise(make, reference):
     p = make()
     rng = np.random.default_rng(4)
     for x in [p.x1] + [p.x1 + rng.standard_normal(p.n) for _ in range(5)]:
+        f_ref, g_ref = reference(p, x)
         f, g = p.value_and_gradient(x)
-        assert f == p.objective(x)
-        assert g.tobytes() == p.full_gradient(x).tobytes()
+        assert f == f_ref and g.tobytes() == g_ref.tobytes()
+        assert p.objective(x) == f_ref
+        assert p.full_gradient(x).tobytes() == g_ref.tobytes()
     with pytest.raises(ValueError):
         p.value_and_gradient(np.zeros(p.n + 1))
 
@@ -178,6 +214,23 @@ def test_least_squares_mean_equals_full_gradient():
         x = rng.standard_normal(2)
         mean = sum(p.stochastic_gradient(x, xi) for xi in range(1, 5)) / 4
         assert np.max(np.abs(mean - p.full_gradient(x))) <= 1e-12
+
+
+def test_least_squares_batch_sum_is_the_row_loop_bitwise():
+    p = make_least_squares(n=6, N=30, seed=4)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        x = p.x1 + rng.standard_normal(p.n)
+        for xis in (np.array([], dtype=int), np.array([7]), np.array([3, 3, 30, 1]),
+                    rng.integers(1, p.sample_count + 1, size=32)):
+            loop = np.zeros(p.n)
+            for xi in xis:  # one row dot product per sample, left to right
+                a = p.A[xi - 1]
+                loop += a * (float(a @ x) - p.b[xi - 1])
+            assert p.batch_gradient_sum(x, xis).tobytes() == loop.tobytes()
+    for xis in ([0, 1], [1, p.sample_count + 1]):
+        with pytest.raises(ValueError, match="sample index"):
+            p.batch_gradient_sum(p.x1, xis)
 
 
 def test_least_squares_sigma_sq_two_sample_oracle():
@@ -349,3 +402,86 @@ def test_estimate_lipschitz_bounded_by_truth_on_quadratic():
     assert 0 < est <= p.L * (1 + 1e-9)
     est1 = estimate_lipschitz(p, s=1, trials=16)
     assert est1 <= p.l_s(1) * (1 + 1e-9)
+
+
+# ------------------------------------------------------------ the oracle contract
+
+@pytest.mark.parametrize("make", [lambda: make_noisy_quadratic(n=4, N=8),
+                                  lambda: make_least_squares(n=3, N=10),
+                                  lambda: make_synthetic_mlp(MlpSpec(widths=(4, 3, 2), sample_count=10))],
+                         ids=["quadratic", "least_squares", "mlp"])
+def test_stochastic_gradient_rejects_samples_outside_1_to_N(make):
+    p = make()
+    for xi in (0, -1, p.sample_count + 1):
+        with pytest.raises(ValueError, match="sample index"):
+            p.stochastic_gradient(p.x1, xi)
+
+
+class _MinimalProblem(Problem):
+    """Implements only the contract: value_and_gradient, batch_gradient_sum and l_s.
+
+    f(x) = (1/N) sum_xi 0.5 |x - c_xi|^2, so G(x; xi) = x - c_xi, L = L_s = 1 and
+    f is minimal at the mean centre, where it equals sigma^2 / 2.
+    """
+
+    name = "minimal"
+
+    def __init__(self, n: int = 4, N: int = 6):
+        self.n, self.sample_count = n, N
+        self.C = np.random.default_rng(0).standard_normal((N, n))
+        self._x1 = np.full(n, 2.0)
+        centre = self.C.mean(axis=0)
+        self.L = self.L_max = 1.0
+        self.sigma_sq = float(np.mean(np.sum((self.C - centre) ** 2, axis=1)))
+        self.gap = 0.5 * float((self._x1 - centre) @ (self._x1 - centre))
+
+    def value_and_gradient(self, x):
+        d = self._check_x(x) - self.C
+        return 0.5 * float(np.sum(d * d)) / self.sample_count, d.sum(axis=0) / self.sample_count
+
+    def batch_gradient_sum(self, x, xis):
+        x = self._check_x(x)
+        acc = np.zeros(self.n)
+        for r in self._batch_rows(xis).tolist():
+            acc += x - self.C[r]
+        return acc
+
+    def l_s(self, s):
+        return 1.0
+
+
+def test_minimal_problem_derives_the_other_oracles():
+    p = _MinimalProblem()
+    x = np.array([0.5, -1.0, 0.0, 3.0])
+    f, g = p.value_and_gradient(x)
+    assert p.objective(x) == f and p.full_gradient(x).tobytes() == g.tobytes()
+    for xi in range(1, p.sample_count + 1):
+        assert p.stochastic_gradient(x, xi).tobytes() == (np.zeros(p.n) + (x - p.C[xi - 1])).tobytes()
+    with pytest.raises(ValueError, match="sample index"):
+        p.stochastic_gradient(x, p.sample_count + 1)
+
+
+_ENGINES = {
+    "serial": run_serial_sg,
+    "con-sim": run_asysg_con_sim,
+    "incon-sim": run_asysg_incon_sim,
+    "incon-sparse-sim": run_asysg_incon_sparse_sim,
+    "con-threads": lambda p, c: run_param_server(p, c)[0],
+    "incon-threads": lambda p, c: run_lockfree_shared(p, c)[0],
+}
+_MODELS = {"con-sim": {"delay_model": DelayModel.uniform()},
+           "incon-sim": {"read_model": ReadModel.prefix(2)},
+           "incon-sparse-sim": {"read_model": ReadModel.random_subset(0.5)}}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_minimal_problem_runs_in_every_mode(mode):
+    p = _MinimalProblem()
+    workers = 1 if mode in SIM_MODES else 2
+    cfg = RunConfig(mode=mode, K=400, M=2, gamma=GammaRule.constant(0.05), T=2, workers=workers,
+                    checkpoint_every=50, seeds=SeedSpec(3), **_MODELS.get(mode, {}))
+    trace = _ENGINES[mode](p, cfg)
+    trace.validate(delay_cap=cfg.T if mode in SIM_MODES else None)
+    assert [r.k for r in trace.rows] == list(range(0, cfg.K + 1, cfg.checkpoint_every))
+    assert trace.rows[0].f == p.objective(p.x1)
+    assert trace.rows[-1].f < 0.5 * trace.rows[0].f
