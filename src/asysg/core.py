@@ -249,19 +249,20 @@ class EngineError(RuntimeError):
 class Recorder:
     """The run recorder of every engine: snapshots during the run, evaluation afterwards.
 
-    While the run is timed, `snap` only stamps (k, t, a copy of x, max delay),
-    so the t column measures optimisation alone.  `finish` then evaluates each
-    snapshot through one `value_and_gradient` call, in k order, and returns the
-    validated trace.  Every snapshot is kept until then: peak memory grows by
-    rows x n x 8 bytes.  A non-finite iterate, objective or gradient norm
-    raises EngineError carrying the rows evaluated before it.
+    While the run is timed, `snap` only stamps (k, t, a copy of x), so the t
+    column measures optimisation alone, and each engine writes the delay of
+    its j-th applied update into `delays[j]` (entry 0 stays 0; an engine
+    without staleness writes nothing).  `finish` then evaluates each snapshot
+    through one `value_and_gradient` call, in k order, and returns the
+    validated trace; row k reports max(delays[:k+1]).  Every snapshot is kept
+    until then: peak memory grows by rows x n x 8 bytes, plus (K+1) x 8 for
+    the delay log.  A non-finite iterate, objective or gradient norm raises
+    EngineError carrying the rows evaluated before it.
     """
 
-    def __init__(self, p, cfg: RunConfig, gamma: float, delays: np.ndarray | None = None):
-        """`delays`, for engines that log delays only by write ordinal, holds the
-        delay of write j at index j; row k then takes its running max up to k."""
+    def __init__(self, p, cfg: RunConfig, gamma: float):
         self.p = p
-        self.delays = delays
+        self.delays = np.zeros(cfg.K + 1, dtype=np.int64)
         self.every = cfg.checkpoint_every
         self.gamma = gamma
         self.meta = {
@@ -272,31 +273,31 @@ class Recorder:
             "workers": cfg.workers,
             "config_fingerprint": f"{p.name}|{cfg.fingerprint()}",
         }
-        self._snaps: list[tuple[int, float, np.ndarray, int]] = []
+        self._snaps: list[tuple[int, float, np.ndarray]] = []
         self.t0 = time.perf_counter()
 
     def due(self, k: int) -> bool:
         return k % self.every == 0
 
-    def snap(self, k: int, x: np.ndarray, max_delay: int = 0, at: float | None = None) -> None:
+    def snap(self, k: int, x: np.ndarray, at: float | None = None) -> None:
         """Stamp row k; `at` is a perf_counter reading the caller took, default now."""
         t = (time.perf_counter() if at is None else at) - self.t0
         x = x.copy()
         if not np.isfinite(x).all():
             raise EngineError(f"non-finite iterate at k={k}", self.trace())
-        self._snaps.append((k, t, x, max_delay))
+        self._snaps.append((k, t, x))
 
     def trace(self) -> Trace:
         """Evaluate the snapshots taken so far, in k order."""
-        running = None if self.delays is None else np.maximum.accumulate(self.delays)
+        running = np.maximum.accumulate(self.delays)
         rows: list[TraceRow] = []
-        for k, t, x, d in sorted(self._snaps, key=lambda s: s[0]):
+        for k, t, x in sorted(self._snaps, key=lambda s: s[0]):
             f, g = self.p.value_and_gradient(x)
             gradsq = float(g @ g)
             if not (math.isfinite(f) and math.isfinite(gradsq)):
                 raise EngineError(f"non-finite objective or gradient at k={k}", Trace(rows, self.meta))
             rows.append(TraceRow(k=k, t=t, f=f, gradsq=gradsq, gamma=self.gamma,
-                                 max_delay_observed=d if running is None else int(running[k])))
+                                 max_delay_observed=int(running[k])))
         return Trace(rows, self.meta)
 
     def finish(self, delay_cap: int | None = None) -> Trace:

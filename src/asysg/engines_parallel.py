@@ -21,7 +21,7 @@ Both engines record through `core.Recorder`: a row is stamped (k, t, copy of
 x) at snapshot time and its f and gradient are evaluated after the run, so the
 t column excludes checkpoint evaluation.  Holding the copies until then costs
 rows x n x 8 bytes of peak memory (about 1 MB for the 46,380-parameter MLP at
-three rows).
+three rows), plus (K+1) x 8 bytes for the delay log.
 
 While workers run, both engines cap numpy's bundled OpenBLAS at
 max(1, cores // workers) threads, so that concurrent BLAS calls do not start
@@ -29,10 +29,15 @@ more threads than there are cores; the previous count is restored before the
 recorder evaluates its rows, and trace meta "blas_threads" names the cap (None
 where the BLAS library offers no thread control and nothing was changed).
 
-Delay accounting: every applied contribution logs (version at pull, version at
-apply).  In con-threads versions are master updates; in incon-threads they are
-applied-write counts sampled from the shared counter around each worker's
-read-compute-write cycle.
+Delay accounting: one delay per applied update, stored in `Recorder.delays`
+at the update's ordinal j (1..K), with the contributing worker's id at index j
+of a parallel array; row k reports the running max up to j = k, and
+`delay_stats` reads both arrays after the run.  In con-threads the delay of
+update k+1 is k minus the master version its push was computed at.  In
+incon-threads it is the number of other writes that landed between the
+worker's read (the applied-write count just before its copy) and its own
+write: delay is labelled after the read, the perturbed-iterate convention
+(Mania et al., arXiv 1507.06970).
 """
 from __future__ import annotations
 
@@ -43,7 +48,6 @@ import os
 import queue
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +62,7 @@ from .core import (
 )
 from .engines_sim import resolve_gamma
 
-_POLL = 0.02          # seconds: wait quantum for queue/semaphore/observer loops
+_POLL = 0.02          # seconds: wait quantum of the parameter server's queue and semaphore loops
 _STALL_LIMIT = 120.0  # seconds without progress before the run is declared hung
 
 
@@ -91,31 +95,28 @@ class DelayStats:
         }
 
 
-def delay_stats(pairs, workers=None) -> DelayStats:
-    """Build DelayStats from (pull-version, apply-version) pairs.
+def delay_stats(delays, workers=None) -> DelayStats:
+    """Build DelayStats from one delay per applied update.
 
-    `workers` optionally gives the contributing worker id for each pair, enabling
-    the per-worker means.  A pair with apply < pull is a causality violation and
-    rejects the whole log.
+    `workers` optionally gives the contributing worker id of each update,
+    enabling the per-worker means.  A negative delay, an update applied before
+    the version it read, rejects the whole log.
     """
-    pairs = list(pairs)
+    d = np.asarray(delays, dtype=np.int64)
+    if workers is not None and len(workers) != len(d):
+        raise ValueError(f"{len(d)} delays but {len(workers)} worker ids")
+    if (d < 0).any():
+        raise ValueError(f"corrupt delay log: negative delay {int(d.min())}")
+    counts = np.bincount(d)
+    per_worker: dict[int, float] = {}
     if workers is not None:
-        workers = list(workers)
-        if len(workers) != len(pairs):
-            raise ValueError(f"{len(pairs)} pairs but {len(workers)} worker ids")
-    hist: Counter[int] = Counter()
-    per_worker: dict[int, list[int]] = {}
-    for idx, (pull, apply_) in enumerate(pairs):
-        if apply_ < pull:
-            raise ValueError(f"corrupt delay log: apply version {apply_} < pull version {pull}")
-        d = int(apply_ - pull)
-        hist[d] += 1
-        if workers is not None:
-            per_worker.setdefault(int(workers[idx]), []).append(d)
+        ids = np.asarray(workers, dtype=np.int64)
+        n, total = np.bincount(ids), np.bincount(ids, weights=d)
+        per_worker = {int(w): float(total[w] / n[w]) for w in np.flatnonzero(n)}
     return DelayStats(
-        max_observed=max(hist) if hist else 0,
-        histogram=dict(hist),
-        per_worker_mean={w: sum(ds) / len(ds) for w, ds in per_worker.items()},
+        max_observed=max(len(counts) - 1, 0),
+        histogram={int(v): int(counts[v]) for v in np.flatnonzero(counts)},
+        per_worker_mean=per_worker,
     )
 
 
@@ -145,12 +146,16 @@ class _WorkerPool:
     def failed(self) -> bool:
         return bool(self.errors)
 
-    def shutdown(self, timeout=_STALL_LIMIT):
-        self.stop.set()
+    def wait(self, timeout) -> bool:
+        """Join every thread within `timeout` seconds in all; True once all have exited."""
         deadline = time.perf_counter() + timeout
         for t in self.threads:
             t.join(timeout=max(0.0, deadline - time.perf_counter()))
         return all(not t.is_alive() for t in self.threads)
+
+    def shutdown(self, timeout=_STALL_LIMIT):
+        self.stop.set()
+        return self.wait(timeout)
 
     def raise_failure(self, rec: Recorder):
         w, exc = self.errors[0]
@@ -218,15 +223,13 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
             pushes.put((w, version, gsum))
 
     rec = Recorder(p, cfg, gamma)
-    log_pairs: list[tuple[int, int]] = []
-    log_workers: list[int] = []
-    max_delay = 0
+    who = np.zeros(cfg.K + 1, dtype=np.int64)  # worker id of each update, beside rec.delays
     with _blas_cap(cfg.workers) as blas_threads:
         pool.launch(worker, cfg.workers)
         try:
             for k in range(cfg.K):
                 if rec.due(k):
-                    rec.snap(k, x, max_delay)
+                    rec.snap(k, x)
                 waited = 0.0
                 while True:
                     try:
@@ -240,13 +243,11 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
                         if waited > _STALL_LIMIT:
                             pool.shutdown()
                             raise EngineError(f"no worker push within {_STALL_LIMIT}s at update {k}", rec.trace())
-                log_pairs.append((version, k))
-                log_workers.append(w)
-                max_delay = max(max_delay, k - version)
+                rec.delays[k + 1], who[k + 1] = k - version, w
                 x = x - gamma * gsum  # fresh array: earlier snapshots stay intact
                 published[0] = (k + 1, x)
                 slots[w].release()
-            rec.snap(cfg.K, x, max_delay)
+            rec.snap(cfg.K, x)
         finally:
             clean = pool.shutdown()
     if pool.failed():
@@ -255,7 +256,7 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
         raise EngineError("workers did not exit after stop", rec.trace())
     trace = rec.finish()
     trace.meta["blas_threads"] = blas_threads
-    return trace, delay_stats(log_pairs, workers=log_workers)
+    return trace, delay_stats(rec.delays[1:], workers=who[1:])
 
 
 # ------------------------------------------------------------ lock-free shared memory
@@ -272,6 +273,9 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
     ordinal is a multiple of checkpoint_every snapshots x on the spot, possibly
     torn, so row k is taken once k writes have landed.  Row max_delay_observed
     is the running max of the delays of writes 1..k, filled in after the run.
+    The calling thread joins the workers one `_STALL_LIMIT` window at a time
+    and declares the run hung when a whole window lands no write, so a stall
+    is detected between one and two windows after the last write.
 
     With collect_entries=True and workers=1 the trace meta carries the
     (coordinate, sample indices) sequence for exact replay through the
@@ -288,16 +292,14 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
     # so under the GIL rows stamped in ordinal order are stamped in time order too
     landed = zip(itertools.count(1), iter(time.perf_counter, None))
     applied = np.zeros(1, dtype=np.int64)  # count of landed coordinate writes
-    delays = np.zeros(cfg.K + 1, dtype=np.int64)  # delay of the write with each ordinal
+    who = np.zeros(cfg.K + 1, dtype=np.int64)  # worker id of each write, beside rec.delays
     pool = _WorkerPool()
-    per_worker_pairs: list[list[tuple[int, int]]] = [[] for _ in range(cfg.workers)]
     entries: list[tuple[int, list[int]]] = []
-    rec = Recorder(p, cfg, gamma, delays=delays)
+    rec = Recorder(p, cfg, gamma)
 
     def worker(w: int):
         rng_s = derive_stream(cfg.seeds, w, "sample")
         rng_c = derive_stream(cfg.seeds, w, "coord")
-        pairs = per_worker_pairs[w]
         while not pool.stop.is_set():
             k = next(claims)
             if k >= cfg.K:
@@ -311,8 +313,7 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
             v_apply = int(applied[0])
             np.add.at(applied, 0, 1)
             ordinal, stamp = next(landed)
-            pairs.append((v_read, v_apply))
-            delays[ordinal] = v_apply - v_read
+            rec.delays[ordinal], who[ordinal] = v_apply - v_read, w
             if collect_entries:
                 entries.append((i, [int(v) for v in xis]))
             if ordinal < cfg.K and rec.due(ordinal):
@@ -321,22 +322,15 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
     rec.snap(0, x)
     with _blas_cap(cfg.workers) as blas_threads:
         pool.launch(worker, cfg.workers)
-        last_seen, last_move = 0, time.perf_counter()
-        while any(t.is_alive() for t in pool.threads):
-            if pool.failed():
-                break
+        last_seen = 0
+        while not pool.wait(_STALL_LIMIT):  # a failing worker sets stop, so all exit
             done = int(applied[0])
-            if done != last_seen:
-                last_seen, last_move = done, time.perf_counter()
-            elif time.perf_counter() - last_move > _STALL_LIMIT:
+            if done == last_seen:
                 pool.shutdown()
                 raise EngineError(f"no write applied within {_STALL_LIMIT}s", rec.trace())
-            time.sleep(_POLL)
-        clean = pool.shutdown()
+            last_seen = done
     if pool.failed():
         pool.raise_failure(rec)
-    if not clean:
-        raise EngineError("workers did not exit after stop", rec.trace())
     if int(applied[0]) != cfg.K:
         raise EngineError(f"applied {int(applied[0])} writes, expected {cfg.K}", rec.trace())
     rec.snap(cfg.K, x)  # quiescent: exact final iterate
@@ -346,7 +340,4 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
     if collect_entries:
         trace.meta["entries"] = entries
     trace.meta["x_final"] = x
-
-    pairs = [pr for worker_pairs in per_worker_pairs for pr in worker_pairs]
-    ids = [w for w, worker_pairs in enumerate(per_worker_pairs) for _ in worker_pairs]
-    return trace, delay_stats(pairs, workers=ids)
+    return trace, delay_stats(rec.delays[1:], workers=who[1:])

@@ -233,24 +233,23 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
     ring = HistoryRing(T)
     ring.append(x)
     rec = Recorder(p, cfg, gamma)
-    max_delay = 0
     for k0, k1 in _blocks(cfg.K):
         S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, M))
         D = dm.draw_block(rng_delay, k0, k1 - k0, M, T).tolist()
         for k, xis, taus in zip(range(k0, k1), S, D):
             if rec.due(k):
-                rec.snap(k, x, max_delay)
+                rec.snap(k, x)
             if min(taus) < 0 or max(taus) > T:
                 raise EngineError(f"delay model produced tau outside [0, {T}]: {taus}", rec.trace())
             if k < T:
                 taus = [min(t, k) for t in taus]  # warm-up clamp
-            max_delay = max(max_delay, max(taus))
+            rec.delays[k + 1] = max(taus)
             acc = np.zeros(p.n)
             for a, b in _runs(taus):  # 0 <= tau <= min(k, T): iterate k - tau is in the ring
                 acc += p.batch_gradient_sum(ring[k - taus[a]], xis[a:b])
             x = x - gamma * acc
             ring.append(x)
-    rec.snap(cfg.K, x, max_delay)
+    rec.snap(cfg.K, x)
     return rec.finish(delay_cap=T)
 
 
@@ -281,7 +280,6 @@ def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
     ring = HistoryRing(T)  # per-iteration single-coordinate deltas (i_j, delta_j)
     rec = Recorder(p, cfg, gamma)
     log: list[dict] | None = [] if collect_log else None
-    max_delay = 0
     skips = 0
     for k0, k1 in _blocks(cfg.K):
         S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, M))
@@ -290,7 +288,7 @@ def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
         R = _read_masks(rm, rng_read, k0, k1, M, T)
         for b, k in enumerate(range(k0, k1)):
             if rec.due(k):
-                rec.snap(k, x, max_delay)
+                rec.snap(k, x)
             xis = S[b]
             w = min(k, T)
             lo = k - w
@@ -301,10 +299,11 @@ def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
             if not sparse:
                 i_k = coords[b]
             acc = np.zeros(p.n) if sparse else 0.0
+            deepest = 0  # how far back this iteration's reads miss updates
             for a, e in _runs(rows):  # equal read sets reconstruct the same vector: share it
                 row, xhat = rows[a], x
                 if True in row:
-                    max_delay = max(max_delay, w - row.index(True))
+                    deepest = max(deepest, w - row.index(True))
                     xhat = x.copy()
                     for t in range(w - 1, -1, -1):  # roll back the missed updates, newest first
                         if row[t]:
@@ -314,6 +313,7 @@ def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
                     acc += p.batch_gradient_sum(xhat, xis[a:e])
                 else:
                     acc += p.coordinate_gradient_sum(xhat, xis[a:e], i_k)
+            rec.delays[k + 1] = deepest
 
             if not sparse:
                 delta = -(gamma * acc)
@@ -331,7 +331,7 @@ def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
             if log is not None:
                 Js = [tuple(lo + t for t in range(w) if row[t]) for row in rows]
                 log.append({"k": k, "xis": xis.tolist(), "i": i_k, "J": Js, "delta": delta})
-    rec.snap(cfg.K, x, max_delay)
+    rec.snap(cfg.K, x)
     trace = rec.finish(delay_cap=T)
     trace.meta["sparse_skips"] = skips
     if log is not None:

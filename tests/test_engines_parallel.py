@@ -3,13 +3,15 @@ oracles, stress tests for the lock-free write primitive, and statistical
 comparisons against the simulators."""
 import ctypes
 import itertools
+import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from asysg import theory
+from asysg import engines_parallel, theory
 from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec
 from asysg.engines_parallel import (
     DelayStats,
@@ -29,10 +31,11 @@ def tcfg(mode, K, M=1, gamma=0.05, T=0, workers=1, seed=0, every=1):
 # ------------------------------------------------------------ delay statistics
 
 def test_delay_stats_examples():
-    s = delay_stats([(0, 0), (0, 1), (1, 3)])
+    s = delay_stats([0, 1, 2])
     assert s.max_observed == 2
     assert s.histogram == {0: 1, 1: 1, 2: 1}
     assert s.total == 3
+    assert s.mean() == 1.0
 
 
 def test_delay_stats_empty():
@@ -45,22 +48,22 @@ def test_delay_stats_empty():
 
 def test_delay_stats_corrupt_log():
     with pytest.raises(ValueError, match="corrupt"):
-        delay_stats([(5, 3)])
+        delay_stats([0, -2])
 
 
 def test_delay_stats_per_worker():
-    s = delay_stats([(0, 0), (0, 2), (1, 2)], workers=[0, 1, 1])
+    s = delay_stats([0, 2, 1], workers=[0, 1, 1])
     assert s.per_worker_mean == {0: 0.0, 1: 1.5}
     assert s.mean() == 1.0
     with pytest.raises(ValueError):
-        delay_stats([(0, 0)], workers=[0, 1])
+        delay_stats([0], workers=[0, 1])
 
 
 def test_delay_stats_to_dict_roundtrip_keys():
-    d = delay_stats([(0, 1)], workers=[3]).to_dict()
-    assert d["max_observed"] == 1
-    assert d["histogram"] == {"1": 1}
-    assert d["per_worker_mean"] == {"3": 1.0}
+    d = delay_stats(np.array([1]), workers=np.array([3])).to_dict()
+    assert d == {"max_observed": 1, "mean": 1.0, "total": 1,
+                 "histogram": {"1": 1}, "per_worker_mean": {"3": 1.0}}
+    assert json.loads(json.dumps(d)) == d           # plain ints and floats, not numpy scalars
 
 
 # ------------------------------------------------------------ parameter server
@@ -83,6 +86,7 @@ def test_param_server_multiworker_conservation():
     assert all(r.gamma == 0.05 for r in trace.rows)
     deltas = trace.column("max_delay_observed")
     assert deltas == sorted(deltas)                 # running max is monotone
+    assert trace.rows[-1].max_delay_observed == stats.max_observed
     trace.validate()
 
 
@@ -178,6 +182,28 @@ def test_param_server_worker_failure_surfaces():
     p = _FailingProblem(make_noisy_quadratic(n=5, sigma=1.0, N=8), after=10)
     with pytest.raises(EngineError, match="oracle failure injected") as exc:
         run_param_server(p, tcfg("con-threads", K=500, M=2, workers=2, every=1))
+    assert exc.value.trace is not None
+    assert len(exc.value.trace) >= 1
+
+
+class _StallingProblem(_FailingProblem):
+    """Gradient oracle that sleeps 1.5 s on every batch call after a set number,
+    then returns by itself."""
+
+    def _count_call(self):
+        if next(self.calls) >= self.after:
+            time.sleep(1.5)
+
+
+@pytest.mark.parametrize("engine,mode,stall", [
+    (run_param_server, "con-threads", "no worker push within"),
+    (run_lockfree_shared, "incon-threads", "no write applied within"),
+], ids=["con-threads", "incon-threads"])
+def test_threaded_engines_report_a_stall(monkeypatch, engine, mode, stall):
+    monkeypatch.setattr(engines_parallel, "_STALL_LIMIT", 0.3)
+    p = _StallingProblem(make_noisy_quadratic(n=5, sigma=1.0, N=8), after=20)
+    with pytest.raises(EngineError, match=stall) as exc:
+        engine(p, tcfg(mode, K=500, M=1, workers=2, every=10))
     assert exc.value.trace is not None
     assert len(exc.value.trace) >= 1
 

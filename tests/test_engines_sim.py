@@ -245,8 +245,12 @@ def _replay_incon_log(p, gamma, trace, sparse=False, exact=True):
     Returns the worst per-coordinate gap between the delta-based reconstruction
     and the full-history one.  Delta equality is bitwise when every sample of an
     iteration shares one read set (flat and grouped sums coincide), within 1e-12
-    otherwise."""
+    otherwise.  Each row's max_delay_observed must be the deepest miss, k - min(J),
+    over the read sets of iterations 0..k-1."""
     log = trace.meta["log"]
+    deepest = [max((e["k"] - J[0] for J in e["J"] if J), default=0) for e in log]
+    running = np.maximum.accumulate([0] + deepest)
+    assert trace.column("max_delay_observed") == [int(running[r.k]) for r in trace.rows]
     xs = [p.x1]
     worst = 0.0
     for e in log:
