@@ -359,15 +359,15 @@ def cmd_theory(args) -> int:
 
 
 def cmd_speedup(args) -> int:
-    if args.epsilon <= 0:
-        print(f"error: --epsilon must be positive, got {args.epsilon}", file=sys.stderr)
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        print(f"error: --epsilon must be positive and finite, got {args.epsilon}", file=sys.stderr)
         return EXIT_INVALID
     try:
         baseline = read_trace_csv(args.baseline)
         parallel = []
         for item in args.parallel:
             workers_str, sep, path = item.partition(":")
-            if not sep or not workers_str.isdigit() or int(workers_str) < 1:
+            if not sep or not (workers_str.isascii() and workers_str.isdigit()) or int(workers_str) < 1:
                 print(f"error: --parallel expects WORKERS:PATH, got {item!r}", file=sys.stderr)
                 return EXIT_INVALID
             parallel.append((int(workers_str), read_trace_csv(path)))

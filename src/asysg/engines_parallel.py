@@ -21,13 +21,19 @@ Both engines record through `core.Recorder`: a row is stamped (k, t, copy of
 x) at snapshot time and its f and gradient are evaluated after the run, so the
 t column excludes checkpoint evaluation.  Holding the copies until then costs
 rows x n x 8 bytes of peak memory (about 1 MB for the 46,380-parameter MLP at
-three rows), plus (K+1) x 8 bytes for the delay log.
+three rows), plus (K+1) x 8 bytes for the delay log and K x M x 8 bytes for
+the replay log of sample indices (trace meta "pushes" or "entries").
 
-While workers run, both engines cap numpy's bundled OpenBLAS at
-max(1, cores // workers) threads, so that concurrent BLAS calls do not start
-more threads than there are cores; the previous count is restored before the
-recorder evaluates its rows, and trace meta "blas_threads" names the cap (None
-where the BLAS library offers no thread control and nothing was changed).
+Both engines run their workers inside one `_WorkerPool`.  While workers run,
+it caps numpy's bundled OpenBLAS at max(1, cores // workers) threads, so that
+concurrent BLAS calls do not start more threads than there are cores, and
+restores the previous count before the recorder evaluates its rows; trace
+meta "blas_threads" names the cap (None where BLAS has no thread control).
+No thread polls: the master blocks on its push queue, parameter-server
+workers on their slots, the lock-free caller on the join.  A failing worker
+wakes them all at once and the run raises its failure.  A run is hung when
+one `_STALL_LIMIT` window passes with no push reaching the master, or no
+write landing.
 
 Delay accounting: one delay per applied update, stored in `Recorder.delays`
 at the update's ordinal j (1..K), with the contributing worker's id at index j
@@ -41,7 +47,6 @@ write: delay is labelled after the read, the perturbed-iterate convention
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import itertools
 import os
@@ -62,8 +67,15 @@ from .core import (
 )
 from .engines_sim import resolve_gamma
 
-_POLL = 0.02          # seconds: wait quantum of the parameter server's queue and semaphore loops
-_STALL_LIMIT = 120.0  # seconds without progress before the run is declared hung
+_STALL_LIMIT = 120.0  # seconds: the only timed wait; a window without progress means a hung run
+
+try:  # dlsym on numpy's extension module handle also searches the libraries it links
+    _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    _blas_get, _blas_set = _blas.scipy_openblas_get_num_threads64_, _blas.scipy_openblas_set_num_threads64_
+    _blas_get.argtypes, _blas_get.restype = [], ctypes.c_int
+    _blas_set.argtypes, _blas_set.restype = [ctypes.c_int], None
+except (AttributeError, OSError):  # no OpenBLAS thread control: BLAS threading is left untouched
+    _blas_get = _blas_set = None
 
 
 # ------------------------------------------------------------ delay statistics
@@ -120,21 +132,33 @@ def delay_stats(delays, workers=None) -> DelayStats:
     )
 
 
-# ------------------------------------------------------------ shared helpers
+# ------------------------------------------------------------ worker pool
 
 class _WorkerPool:
-    """Start threads, collect first failure, stop and join everyone."""
+    """Own the workers' lifecycle.  Entering caps BLAS (`blas_threads`, None
+    where uncapped) and starts `count` threads running target(w).  A failing
+    worker sets `stop` and calls `wake`, which must release every wait the
+    engine and its workers block in.  Leaving stops, wakes, joins, restores
+    BLAS and raises the first failure.  Threads start in `__enter__`, so bind
+    the pool to its name before entering it.
+    """
 
-    def __init__(self):
+    def __init__(self, target, count: int, wake, rec: Recorder):
         self.stop = threading.Event()
         self.errors: list[tuple[int, BaseException]] = []
-        self.threads: list[threading.Thread] = []
+        self.threads = [threading.Thread(target=self._guard, args=(target, w), daemon=True)
+                        for w in range(count)]
+        self.wake, self.rec = wake, rec
+        self.blas_threads: int | None = None
 
-    def launch(self, target, count):
-        for w in range(count):
-            t = threading.Thread(target=self._guard, args=(target, w), daemon=True)
-            self.threads.append(t)
+    def __enter__(self):
+        if _blas_set is not None:
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            self._blas_before, self.blas_threads = _blas_get(), max(1, cores // len(self.threads))
+            _blas_set(self.blas_threads)
+        for t in self.threads:
             t.start()
+        return self
 
     def _guard(self, target, w):
         try:
@@ -142,9 +166,7 @@ class _WorkerPool:
         except BaseException as exc:  # propagate to the master, whatever it is
             self.errors.append((w, exc))
             self.stop.set()
-
-    def failed(self) -> bool:
-        return bool(self.errors)
+            self.wake()
 
     def wait(self, timeout) -> bool:
         """Join every thread within `timeout` seconds in all; True once all have exited."""
@@ -153,41 +175,19 @@ class _WorkerPool:
             t.join(timeout=max(0.0, deadline - time.perf_counter()))
         return all(not t.is_alive() for t in self.threads)
 
-    def shutdown(self, timeout=_STALL_LIMIT):
+    def __exit__(self, exc_type, exc, tb):
         self.stop.set()
-        return self.wait(timeout)
-
-    def raise_failure(self, rec: Recorder):
-        w, exc = self.errors[0]
-        if isinstance(exc, EngineError):  # already names the fault and carries its rows
-            raise exc
-        raise EngineError(f"worker {w} failed: {exc!r}", rec.trace()) from exc
-
-
-@contextlib.contextmanager
-def _blas_cap(workers: int):
-    """Cap OpenBLAS at max(1, cores // workers) threads inside the block, then restore.
-
-    Yields the cap, or None when numpy's BLAS exports no OpenBLAS thread control;
-    the block then runs with BLAS threading untouched.
-    """
-    try:  # dlsym on the extension module's handle also searches the libraries it links
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get_threads = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        yield None
-        return
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    cap = max(1, cores // workers)
-    before = get_threads()
-    set_threads(cap)
-    try:
-        yield cap
-    finally:
-        set_threads(before)
+        self.wake()
+        exited = self.wait(_STALL_LIMIT)
+        if self.blas_threads is not None:
+            _blas_set(self._blas_before)
+        if self.errors:
+            w, err = self.errors[0]
+            if isinstance(err, EngineError):  # already names the fault and carries its rows
+                raise err
+            raise EngineError(f"worker {w} failed: {err!r}", self.rec.trace()) from err
+        if exc is None and not exited:  # a stall raised in the block keeps its own message
+            raise EngineError("workers did not exit after stop", self.rec.trace())
 
 
 # ------------------------------------------------------------ parameter server
@@ -200,8 +200,13 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     versions form the gapless sequence 0..K and every pull sees one complete
     vector.  A push's delay is (update index at apply) - (version at pull).
     Workers keep at most one unapplied push outstanding, so a single worker can
-    only ever be 0 or 1 versions behind.  BLAS is capped while workers run (see
-    the module docstring).
+    only ever be 0 or 1 versions behind.
+
+    Trace meta "pushes" lists the (version, sample indices) of every applied
+    push in apply order and "x_final" is the last iterate, so
+    `engines_sim.replay_con_updates` rebuilds the run exactly on one thread
+    (the MLP's bits match only under the same BLAS thread count,
+    meta "blas_threads").
     """
     require_mode(cfg, "con-threads")
     gamma = resolve_gamma(cfg, p)
@@ -209,7 +214,6 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     published = [(0, x.copy())]  # single-slot publish; item load is one bytecode
     pushes: queue.SimpleQueue = queue.SimpleQueue()  # unbounded: a slot admits one queued push per worker
     slots = [threading.Semaphore(1) for _ in range(cfg.workers)]
-    pool = _WorkerPool()
 
     def worker(w: int):
         rng = derive_stream(cfg.seeds, w, "sample")
@@ -217,51 +221,44 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
             version, snap = published[0]
             xis = rng.integers(1, p.sample_count + 1, size=cfg.M)
             gsum = p.batch_gradient_sum(snap, xis)
-            while not slots[w].acquire(timeout=_POLL):  # previous push must land first
-                if pool.stop.is_set():
-                    return
-            pushes.put((w, version, gsum))
+            slots[w].acquire()  # previous push must land first
+            pushes.put((w, version, xis, gsum))
+
+    def wake():
+        pushes.put(None)  # before the slots: a push a released worker adds lands behind it
+        for slot in slots:
+            slot.release()
 
     rec = Recorder(p, cfg, gamma)
     who = np.zeros(cfg.K + 1, dtype=np.int64)  # worker id of each update, beside rec.delays
-    with _blas_cap(cfg.workers) as blas_threads:
-        pool.launch(worker, cfg.workers)
-        try:
-            for k in range(cfg.K):
-                if rec.due(k):
-                    rec.snap(k, x)
-                waited = 0.0
-                while True:
-                    try:
-                        w, version, gsum = pushes.get(timeout=_POLL)
-                        break
-                    except queue.Empty:
-                        if pool.failed():
-                            pool.shutdown()
-                            pool.raise_failure(rec)
-                        waited += _POLL
-                        if waited > _STALL_LIMIT:
-                            pool.shutdown()
-                            raise EngineError(f"no worker push within {_STALL_LIMIT}s at update {k}", rec.trace())
-                rec.delays[k + 1], who[k + 1] = k - version, w
-                x = x - gamma * gsum  # fresh array: earlier snapshots stay intact
-                published[0] = (k + 1, x)
-                slots[w].release()
+    log: list[tuple[int, np.ndarray]] = []
+    pool = _WorkerPool(worker, cfg.workers, wake, rec)
+    with pool:
+        for k in range(cfg.K):
+            if rec.due(k):
+                rec.snap(k, x)
+            try:
+                push = pushes.get(timeout=_STALL_LIMIT)
+            except queue.Empty:
+                raise EngineError(f"no worker push within {_STALL_LIMIT}s at update {k}", rec.trace()) from None
+            if push is None:  # a worker failed: leave without row K, the pool raises it
+                break
+            w, version, xis, gsum = push
+            rec.delays[k + 1], who[k + 1] = k - version, w
+            log.append((version, xis))
+            x = x - gamma * gsum  # fresh array: earlier snapshots stay intact
+            published[0] = (k + 1, x)
+            slots[w].release()
+        else:
             rec.snap(cfg.K, x)
-        finally:
-            clean = pool.shutdown()
-    if pool.failed():
-        pool.raise_failure(rec)
-    if not clean:
-        raise EngineError("workers did not exit after stop", rec.trace())
     trace = rec.finish()
-    trace.meta["blas_threads"] = blas_threads
+    trace.meta.update(blas_threads=pool.blas_threads, pushes=log, x_final=x)
     return trace, delay_stats(rec.delays[1:], workers=who[1:])
 
 
 # ------------------------------------------------------------ lock-free shared memory
 
-def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tuple[Trace, DelayStats]:
+def run_lockfree_shared(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     """Inconsistent-read asynchronous SG on one shared vector, no locks.
 
     Workers claim global iteration numbers from a shared counter, draw one
@@ -277,10 +274,9 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
     and declares the run hung when a whole window lands no write, so a stall
     is detected between one and two windows after the last write.
 
-    With collect_entries=True and workers=1 the trace meta carries the
-    (coordinate, sample indices) sequence for exact replay through the
-    simulator's update arithmetic.  BLAS is capped while workers run (see the
-    module docstring).
+    Trace meta "entries" lists the (coordinate, sample indices) of every write
+    in landing order and "x_final" is the last iterate; with workers=1,
+    `engines_sim.replay_incon_updates` rebuilds the run exactly.
     """
     require_mode(cfg, "incon-threads")
     if cfg.K >= 2**62:
@@ -293,8 +289,7 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
     landed = zip(itertools.count(1), iter(time.perf_counter, None))
     applied = np.zeros(1, dtype=np.int64)  # count of landed coordinate writes
     who = np.zeros(cfg.K + 1, dtype=np.int64)  # worker id of each write, beside rec.delays
-    pool = _WorkerPool()
-    entries: list[tuple[int, list[int]]] = []
+    entries: list[tuple[int, np.ndarray]] = []
     rec = Recorder(p, cfg, gamma)
 
     def worker(w: int):
@@ -314,30 +309,23 @@ def run_lockfree_shared(p, cfg: RunConfig, collect_entries: bool = False) -> tup
             np.add.at(applied, 0, 1)
             ordinal, stamp = next(landed)
             rec.delays[ordinal], who[ordinal] = v_apply - v_read, w
-            if collect_entries:
-                entries.append((i, [int(v) for v in xis]))
+            entries.append((i, xis))
             if ordinal < cfg.K and rec.due(ordinal):
                 rec.snap(ordinal, x, at=stamp)
 
     rec.snap(0, x)
-    with _blas_cap(cfg.workers) as blas_threads:
-        pool.launch(worker, cfg.workers)
+    pool = _WorkerPool(worker, cfg.workers, lambda: None, rec)  # workers never block: nothing to wake
+    with pool:
         last_seen = 0
         while not pool.wait(_STALL_LIMIT):  # a failing worker sets stop, so all exit
             done = int(applied[0])
             if done == last_seen:
-                pool.shutdown()
                 raise EngineError(f"no write applied within {_STALL_LIMIT}s", rec.trace())
             last_seen = done
-    if pool.failed():
-        pool.raise_failure(rec)
     if int(applied[0]) != cfg.K:
         raise EngineError(f"applied {int(applied[0])} writes, expected {cfg.K}", rec.trace())
     rec.snap(cfg.K, x)  # quiescent: exact final iterate
     trace = rec.finish()
-    trace.meta["blas_threads"] = blas_threads
-    trace.meta["snapshots"] = "rows are copied by the writing worker, unsynchronized, and may be torn"
-    if collect_entries:
-        trace.meta["entries"] = entries
-    trace.meta["x_final"] = x
+    trace.meta.update(blas_threads=pool.blas_threads, entries=entries, x_final=x,
+                      snapshots="rows are copied by the writing worker, unsynchronized, and may be torn")
     return trace, delay_stats(rec.delays[1:], workers=who[1:])

@@ -363,3 +363,12 @@ def replay_incon_updates(p, gamma: float, entries: list[tuple[int, list[int]]]) 
     for i, xis in entries:
         x[i] += -(gamma * p.coordinate_gradient_sum(x, np.asarray(xis, dtype=int), i))
     return x
+
+
+def replay_con_updates(p, gamma: float, pushes: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Apply each (version, xis) push's gradient, taken at that version's iterate,
+    in order; returns the final iterate: the parameter server's replay oracle."""
+    xs = [p.x1]
+    for version, xis in pushes:
+        xs.append(xs[-1] - gamma * p.batch_gradient_sum(xs[version], xis))
+    return xs[-1]

@@ -414,6 +414,10 @@ def test_speedup_bad_parallel_spec_exits_2(tmp_path, capsys):
                  "--epsilon", "1.0"]) == 2
     assert main(["speedup", "--baseline", base, "--parallel", f"2:{base}",
                  "--epsilon", "-1"]) == 2
+    assert main(["speedup", "--baseline", base, "--parallel", f"\u00b2:{base}",
+                 "--epsilon", "1.0"]) == 2      # str.isdigit accepts '²', int() does not
+    assert main(["speedup", "--baseline", base, "--parallel", f"2:{base}",
+                 "--epsilon", "nan"]) == 2
     capsys.readouterr()
 
 

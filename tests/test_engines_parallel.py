@@ -19,7 +19,12 @@ from asysg.engines_parallel import (
     run_lockfree_shared,
     run_param_server,
 )
-from asysg.engines_sim import DelayModel, replay_incon_updates, run_asysg_con_sim
+from asysg.engines_sim import (
+    DelayModel,
+    replay_con_updates,
+    replay_incon_updates,
+    run_asysg_con_sim,
+)
 from asysg.problems import MlpSpec, make_noisy_quadratic, make_synthetic_mlp
 
 
@@ -136,6 +141,27 @@ def test_param_server_cor2_gamma_respects_bound():
     assert np.mean(finals) <= bound
 
 
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("problem", ["quadratic", "mlp"])
+def test_param_server_replay_is_bitexact(problem, workers):
+    # the master is the only writer: each update is a pure function of its push's
+    # version and samples, so the push log rebuilds x_final and every row's delay
+    if problem == "quadratic":
+        p = make_noisy_quadratic(n=8, sigma=1.0, N=8)
+    else:
+        p = make_synthetic_mlp(MlpSpec(widths=(8, 6, 3), sample_count=64), seed=1)
+    gamma, K = 0.05, 200
+    trace, stats = run_param_server(p, tcfg("con-threads", K=K, M=2, gamma=gamma,
+                                            workers=workers, every=1))
+    pushes = trace.meta["pushes"]
+    assert len(pushes) == K
+    assert np.array_equal(replay_con_updates(p, gamma, pushes), trace.meta["x_final"])
+    running = np.maximum.accumulate([0] + [k - version for k, (version, _) in enumerate(pushes)])
+    assert [r.k for r in trace.rows] == list(range(K + 1))
+    assert [r.max_delay_observed for r in trace.rows] == running.tolist()
+    assert stats.max_observed == running[-1]
+
+
 class _FailingProblem:
     """Gradient oracle that blows up after a set number of batch calls."""
 
@@ -231,8 +257,7 @@ def test_lockfree_single_worker_replay_is_bitexact(problem):
         p = make_synthetic_mlp(MlpSpec(widths=(8, 6, 3), sample_count=64), seed=1)
     gamma = 0.05
     trace, stats = run_lockfree_shared(
-        p, tcfg("incon-threads", K=200, M=2, gamma=gamma, workers=1, every=50),
-        collect_entries=True)
+        p, tcfg("incon-threads", K=200, M=2, gamma=gamma, workers=1, every=50))
     entries = trace.meta["entries"]
     assert len(entries) == 200
     x = replay_incon_updates(p, gamma, entries)
@@ -260,6 +285,20 @@ def test_lockfree_worker_failure_surfaces():
     with pytest.raises(EngineError, match="oracle failure injected") as exc:
         run_lockfree_shared(p, tcfg("incon-threads", K=5000, M=1, workers=2, every=1000))
     assert exc.value.trace is not None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("engine,mode", [(run_param_server, "con-threads"),
+                                         (run_lockfree_shared, "incon-threads")],
+                         ids=["con-threads", "incon-threads"])
+def test_threaded_engines_surface_a_failure_promptly(monkeypatch, engine, mode, workers):
+    # a thread that blocks with no wake-up on failure would sit out the whole window
+    monkeypatch.setattr(engines_parallel, "_STALL_LIMIT", 60.0)
+    p = _FailingProblem(make_noisy_quadratic(n=5, sigma=1.0, N=8), after=10)
+    start = time.perf_counter()
+    with pytest.raises(EngineError, match="oracle failure injected"):
+        engine(p, tcfg(mode, K=500, M=1, workers=workers, every=100))
+    assert time.perf_counter() - start < 2.0
 
 
 def _openblas_threads():
