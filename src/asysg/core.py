@@ -1,12 +1,16 @@
-"""Shared domain types, deterministic stream derivation, and the bounded history buffer.
+"""Shared domain types, deterministic stream derivation, the bounded history buffer,
+the run recorder, and the process's CPU and BLAS thread controls.
 
 Parameter vectors are plain 1-D float64 numpy arrays throughout the package.
 Coordinate indices are 0-based; sample indices xi are 1-based (xi in {1..N}).
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -19,6 +23,37 @@ SIM_MODES = ("serial", "con-sim", "incon-sim", "incon-sparse-sim")
 MODEL_OF_MODE = {"con-sim": "delay_model", "incon-sim": "read_model", "incon-sparse-sim": "read_model"}
 
 GAMMA_KINDS = ("constant", "corollary2", "corollary4")
+
+try:  # dlsym on numpy's extension module handle also searches the libraries it links
+    _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    _blas_get, _blas_set = _blas.scipy_openblas_get_num_threads64_, _blas.scipy_openblas_set_num_threads64_
+    _blas_get.argtypes, _blas_get.restype = [], ctypes.c_int
+    _blas_set.argtypes, _blas_set.restype = [ctypes.c_int], None
+except (AttributeError, OSError):  # no OpenBLAS thread control: BLAS threading is left untouched
+    _blas_get = _blas_set = None
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """Hold numpy's bundled OpenBLAS at `count` threads inside the block, then
+    restore the count found on entry, so holds nest.  The count is process-wide.
+    Yields `count`, or None where BLAS has no thread control (nothing is set)."""
+    if _blas_set is None:
+        yield None
+        return
+    before = _blas_get()
+    _blas_set(count)
+    try:
+        yield count
+    finally:
+        _blas_set(before)
 
 
 @dataclass(frozen=True)
@@ -254,9 +289,11 @@ class Recorder:
     its j-th applied update into `delays[j]` (entry 0 stays 0; an engine
     without staleness writes nothing).  `finish` then evaluates each snapshot
     through one `value_and_gradient` call, in k order, and returns the
-    validated trace; row k reports max(delays[:k+1]).  Every snapshot is kept
-    until then: peak memory grows by rows x n x 8 bytes, plus (K+1) x 8 for
-    the delay log.  A non-finite iterate, objective or gradient norm raises
+    validated trace; row k reports max(delays[:k+1]).  A k = 0 snapshot whose
+    bytes equal x1 reads the problem's cached `value_and_gradient_at_x1`
+    instead, so the start point is evaluated once per problem, however many
+    runs it serves.  Every snapshot is kept until then: peak memory grows by
+    rows x n x 8 bytes, plus (K+1) x 8 for the delay log.  A non-finite iterate, objective or gradient norm raises
     EngineError carrying the rows evaluated before it.
     """
 
@@ -292,7 +329,10 @@ class Recorder:
         running = np.maximum.accumulate(self.delays)
         rows: list[TraceRow] = []
         for k, t, x in sorted(self._snaps, key=lambda s: s[0]):
-            f, g = self.p.value_and_gradient(x)
+            if k == 0 and x.tobytes() == self.p.x1.tobytes():
+                f, g = self.p.value_and_gradient_at_x1()
+            else:
+                f, g = self.p.value_and_gradient(x)
             gradsq = float(g @ g)
             if not (math.isfinite(f) and math.isfinite(gradsq)):
                 raise EngineError(f"non-finite objective or gradient at k={k}", Trace(rows, self.meta))

@@ -25,10 +25,13 @@ three rows), plus (K+1) x 8 bytes for the delay log and K x M x 8 bytes for
 the replay log of sample indices (trace meta "pushes" or "entries").
 
 Both engines run their workers inside one `_WorkerPool`.  While workers run,
-it caps numpy's bundled OpenBLAS at max(1, cores // workers) threads, so that
-concurrent BLAS calls do not start more threads than there are cores, and
-restores the previous count before the recorder evaluates its rows; trace
-meta "blas_threads" names the cap (None where BLAS has no thread control).
+it caps numpy's bundled OpenBLAS at max(1, cores // workers) threads
+(`core.blas_threads`), so that concurrent BLAS calls do not start more
+threads than there are cores, and restores the previous count before the
+recorder evaluates its rows; trace meta "blas_threads" names the cap (None
+where BLAS has no thread control).  The MLP's full-data pass holds BLAS at one
+thread itself and restores the count it found, so a row evaluated while
+workers still run (a stall's trace) leaves the cap in place.
 No thread polls: the master blocks on its push queue, parameter-server
 workers on their slots, the lock-free caller on the join.  A failing worker
 wakes them all at once and the run raises its failure.  A run is hung when
@@ -47,9 +50,7 @@ write: delay is labelled after the read, the perturbed-iterate convention
 """
 from __future__ import annotations
 
-import ctypes
 import itertools
-import os
 import queue
 import threading
 import time
@@ -62,20 +63,14 @@ from .core import (
     Recorder,
     RunConfig,
     Trace,
+    blas_threads,
+    cpu_count,
     derive_stream,
     require_mode,
 )
 from .engines_sim import resolve_gamma
 
 _STALL_LIMIT = 120.0  # seconds: the only timed wait; a window without progress means a hung run
-
-try:  # dlsym on numpy's extension module handle also searches the libraries it links
-    _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    _blas_get, _blas_set = _blas.scipy_openblas_get_num_threads64_, _blas.scipy_openblas_set_num_threads64_
-    _blas_get.argtypes, _blas_get.restype = [], ctypes.c_int
-    _blas_set.argtypes, _blas_set.restype = [ctypes.c_int], None
-except (AttributeError, OSError):  # no OpenBLAS thread control: BLAS threading is left untouched
-    _blas_get = _blas_set = None
 
 
 # ------------------------------------------------------------ delay statistics
@@ -152,10 +147,8 @@ class _WorkerPool:
         self.blas_threads: int | None = None
 
     def __enter__(self):
-        if _blas_set is not None:
-            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            self._blas_before, self.blas_threads = _blas_get(), max(1, cores // len(self.threads))
-            _blas_set(self.blas_threads)
+        self._blas = blas_threads(max(1, cpu_count() // len(self.threads)))
+        self.blas_threads = self._blas.__enter__()
         for t in self.threads:
             t.start()
         return self
@@ -179,8 +172,7 @@ class _WorkerPool:
         self.stop.set()
         self.wake()
         exited = self.wait(_STALL_LIMIT)
-        if self.blas_threads is not None:
-            _blas_set(self._blas_before)
+        self._blas.__exit__(None, None, None)
         if self.errors:
             w, err = self.errors[0]
             if isinstance(err, EngineError):  # already names the fault and carries its rows

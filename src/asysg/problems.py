@@ -7,11 +7,12 @@ the full gradient.  Oracles are pure and safe to call from any thread.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeedSpec, derive_stream
+from .core import SeedSpec, blas_threads, cpu_count, derive_stream
 from .theory import constants_quadratic
 
 
@@ -21,8 +22,9 @@ class Problem:
     A problem implements value_and_gradient(x) = (f(x), grad f(x)),
     batch_gradient_sum(x, xis) = the sum of G(x; xi) over the samples, and
     l_s(s).  It may override coordinate_gradient_sum, whose default reads the
-    entry off the batch sum.  objective, full_gradient and stochastic_gradient
-    derive from these.
+    entry off the batch sum.  objective, full_gradient, stochastic_gradient and
+    value_and_gradient_at_x1 (the start point's pair, evaluated once per
+    problem) derive from these.
 
     Attributes: n (dimension), sample_count (N), x1 (initial point), and the
     constants L, L_max, sigma_sq, gap.  constants_estimated marks problems whose
@@ -87,6 +89,18 @@ class Problem:
         """Support-restricted gradient Lipschitz constant for supports of size max(s, 1)."""
         raise NotImplementedError
 
+    def value_and_gradient_at_x1(self) -> tuple[float, np.ndarray]:
+        """value_and_gradient(x1), evaluated on first use and kept for the problem's
+        lifetime, so every run from x1 shares one evaluation.  The gradient is
+        read-only; a caller that changes it works on a copy."""
+        cache = vars(self).setdefault("_cache", {})
+        if "x1" not in cache:
+            f, g = self.value_and_gradient(self.x1)
+            g = np.array(g)  # own copy: no writable view of it stays anywhere
+            g.flags.writeable = False
+            cache["x1"] = (f, g)
+        return cache["x1"]
+
     def _cached(self, key: str, fn) -> float:
         """Constant `key`, computed by fn on first use and kept for the problem's lifetime."""
         cache = vars(self).setdefault("_cache", {})
@@ -139,7 +153,7 @@ class NoisyQuadratic(Problem):
         self.L_max = self._constants.L_max
         self.sigma_sq = self.sigma * self.sigma
         # Q is PSD so min f = 0 at x*; the gap from x1 is exact
-        self.gap = self.objective(self._x1)
+        self.gap = self.value_and_gradient_at_x1()[0]
 
     def _noise_entry(self, xi: int) -> tuple[int, float]:
         """The one entry of sample xi's noise that may be nonzero, as (coordinate, value):
@@ -239,7 +253,7 @@ class LeastSquares(Problem):
         # exact optimum via the normal equations, so the gap is exact as well
         x_opt, *_ = np.linalg.lstsq(A, b, rcond=None)
         self._f_opt = self.objective(x_opt)
-        self.gap = self.objective(self._x1) - self._f_opt
+        self.gap = self.value_and_gradient_at_x1()[0] - self._f_opt
         self.sigma_sq = estimate_sigma_sq(self, self._x1, self.sample_count)
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -314,7 +328,11 @@ class SyntheticMlp(Problem):
     name = "mlp"
     constants_estimated = True
 
-    _EVAL_CHUNK = 8192  # full-sum passes run in fixed-size chunks, summed in chunk order
+    _EVAL_CHUNK = 2048  # full-data passes run in fixed-size chunks, summed in chunk order
+    # the teacher's targets take larger chunks: BLAS may pick another kernel for
+    # a small product and round it differently, and at 8192 rows the default
+    # net's targets equal one whole-X pass's bit for bit
+    _BUILD_CHUNK = 8192
 
     def __init__(self, spec: MlpSpec, seed: int):
         self.spec = spec
@@ -330,10 +348,12 @@ class SyntheticMlp(Problem):
         rng_init = derive_stream(seeds, 0, "mlp-init")
 
         self.X = rng_data.standard_normal((self.sample_count, self.widths[0]))
-        theta_star = rng_teacher.standard_normal(self.n)
-        clean = self._forward(theta_star, self.X)
-        self.Y = clean + spec.noise_std * rng_noise.standard_normal(clean.shape)
-        self.theta_star = theta_star
+        self.theta_star = rng_teacher.standard_normal(self.n)
+        teacher = self.unpack(self.theta_star)
+        self.Y = np.empty((self.sample_count, self.widths[-1]))
+        for lo, hi in self._chunks(self._BUILD_CHUNK):  # no whole-X activations
+            self.Y[lo:hi] = self._activations(teacher, self.X[lo:hi])[-1]
+        self.Y += spec.noise_std * rng_noise.standard_normal(self.Y.shape)
 
         x1 = np.zeros(self.n)
         for (a, b), (fan_in, fan_out) in zip(self._weight_slices(), self._layer_shapes()):
@@ -344,6 +364,10 @@ class SyntheticMlp(Problem):
 
     def _layer_shapes(self) -> list[tuple[int, int]]:
         return list(zip(self.widths, self.widths[1:]))
+
+    def _chunks(self, size: int) -> list[tuple[int, int]]:
+        """(lo, hi) bounds of consecutive sample-row chunks of `size` rows, in order."""
+        return [(lo, min(lo + size, self.sample_count)) for lo in range(0, self.sample_count, size)]
 
     def _weight_slices(self) -> list[tuple[int, int]]:
         out, pos = [], 0
@@ -366,65 +390,56 @@ class SyntheticMlp(Problem):
 
     # ---- network passes
 
-    def _forward(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        layers = self.unpack(theta)
-        A = X
-        for li, (W, b) in enumerate(layers):
-            Z = A @ W + b
-            A = np.tanh(Z) if li < len(layers) - 1 else Z
-        return A
-
     @staticmethod
     def _activations(layers, X: np.ndarray) -> list[np.ndarray]:
-        """Every layer's input, then the net's output: [X, tanh(X W_1 + b_1), ..., net(X)]."""
+        """Every layer's input, then the net's output: [X, tanh(X W_1 + b_1), ..., net(X)].
+        Each entry after X is a fresh array the caller may overwrite."""
         acts = [X]
         for li, (W, b) in enumerate(layers):
-            Z = acts[-1] @ W + b
-            acts.append(np.tanh(Z) if li < len(layers) - 1 else Z)
+            Z = acts[-1] @ W
+            Z += b
+            if li < len(layers) - 1:
+                np.tanh(Z, out=Z)
+            acts.append(Z)
         return acts
 
     def _loss_and_grad(self, theta: np.ndarray, X: np.ndarray, Y: np.ndarray):
         """Summed squared-error loss 0.5 sum |net(x) - y|^2 over the batch, plus its gradient."""
         layers = self.unpack(theta)
         acts = self._activations(layers, X)
-        resid = acts[-1] - Y
-        loss = 0.5 * float(np.sum(resid * resid))
+        D = acts[-1]
+        D -= Y  # the residual, in place of the output
+        loss = 0.5 * float(np.sum(D * D))
 
         grad = np.empty(self.n)
-        slices = self._weight_slices()
-        D = resid
-        for li in range(len(layers) - 1, -1, -1):
+        for li, (a, w_end) in reversed(list(enumerate(self._weight_slices()))):
             W, _ = layers[li]
-            a, b_end = slices[li]
-            gW = acts[li].T @ D
-            gb = D.sum(axis=0)
-            grad[a : a + W.size] = gW.ravel()
-            grad[a + W.size : a + W.size + gb.size] = gb
+            np.matmul(acts[li].T, D, out=grad[a:w_end].reshape(W.shape))
+            np.sum(D, axis=0, out=grad[w_end : w_end + W.shape[1]])
             if li > 0:
-                D = (D @ W.T) * (1.0 - acts[li] * acts[li])
+                A = acts[li]  # tanh(Z), overwritten by its derivative 1 - A^2
+                np.multiply(A, A, out=A)
+                np.subtract(1.0, A, out=A)
+                D = D @ W.T
+                D *= A
         return loss, grad
 
-    def objective(self, x: np.ndarray) -> float:
-        # kept beside the derived one: gap needs f alone, and forward passes take
-        # under half of value_and_gradient's time on the default 46,380-parameter
-        # net (0.14 s against 0.30 s on a 2-core host)
-        x = self._check_x(x)
-        total = 0.0
-        for lo in range(0, self.sample_count, self._EVAL_CHUNK):
-            hi = min(lo + self._EVAL_CHUNK, self.sample_count)
-            resid = self._forward(x, self.X[lo:hi]) - self.Y[lo:hi]
-            total += 0.5 * float(np.sum(resid * resid))
-        return total / self.sample_count
-
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        # one forward pass per chunk serves both; the loss sums bit-identically to objective's
+        # one forward pass per chunk serves both.  The chunks run on one thread
+        # per CPU, each holding BLAS at one thread, and sum in chunk order, so
+        # the bits do not depend on the host's core count
         x = self._check_x(x)
+        chunks = self._chunks(self._EVAL_CHUNK)
+
+        def part(bounds):
+            lo, hi = bounds
+            return self._loss_and_grad(x, self.X[lo:hi], self.Y[lo:hi])
+
         total, acc = 0.0, np.zeros(self.n)
-        for lo in range(0, self.sample_count, self._EVAL_CHUNK):
-            hi = min(lo + self._EVAL_CHUNK, self.sample_count)
-            loss, g = self._loss_and_grad(x, self.X[lo:hi], self.Y[lo:hi])
-            total += loss
-            acc += g
+        with blas_threads(1), ThreadPoolExecutor(min(cpu_count(), len(chunks))) as pool:
+            for loss, g in pool.map(part, chunks):
+                total += loss
+                acc += g
         return total / self.sample_count, acc / self.sample_count
 
     def batch_gradient_sum(self, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -463,7 +478,7 @@ class SyntheticMlp(Problem):
     @property
     def gap(self) -> float:
         # loss is nonnegative, so f(x1) - 0 upper-bounds the true optimality gap
-        return self._cached("gap", lambda: self.objective(self._x1))
+        return self.value_and_gradient_at_x1()[0]
 
     @property
     def L(self) -> float:

@@ -188,6 +188,9 @@ class _FailingProblem:
     def value_and_gradient(self, x):
         return self.inner.value_and_gradient(x)
 
+    def value_and_gradient_at_x1(self):
+        return self.inner.value_and_gradient_at_x1()
+
     def l_s(self, s):
         return self.inner.l_s(s)
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from asysg.core import MODES, SIM_MODES, GammaRule, RunConfig, SeedSpec
+from asysg import core, problems
+from asysg.core import MODES, SIM_MODES, GammaRule, RunConfig, SeedSpec, blas_threads, derive_stream
 from asysg.engines_parallel import run_lockfree_shared, run_param_server
 from asysg.engines_sim import (
     DelayModel,
@@ -363,14 +365,112 @@ def test_default_coordinate_gradient_is_batch_entry_bitwise(make):
         p.coordinate_gradient_sum(p.x1, [1], p.n)
 
 
+def _mlp_outputs(p, theta):
+    """net(X) for every sample by one unchunked forward pass, written out here."""
+    A, pos = p.X, 0
+    for li, (fan_in, fan_out) in enumerate(zip(p.widths, p.widths[1:])):
+        W = theta[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        pos += fan_in * fan_out
+        A = A @ W + theta[pos : pos + fan_out]
+        pos += fan_out
+        if li < len(p.widths) - 2:
+            A = np.tanh(A)
+    return A
+
+
+def _openblas_threads():
+    return core._blas_get() if core._blas_get is not None else None
+
+
 def test_mlp_value_and_gradient_is_one_chunked_pass():
-    # more samples than one evaluation chunk, so the chunk sums are exercised
+    # more samples than one evaluation chunk, so the chunk sums are exercised;
+    # the reference is one sequential pass over all samples at once
     p = make_synthetic_mlp(MlpSpec(widths=(10, 5, 2), sample_count=20_000), seed=4)
+    assert p.sample_count > p._EVAL_CHUNK
     x = p.x1 + 0.01
     f, g = p.value_and_gradient(x)
-    assert f == p.objective(x)                      # same forward pass, same summation order
-    whole = p.batch_gradient_sum(x, np.arange(1, p.sample_count + 1)) / p.sample_count
-    assert np.max(np.abs(g - whole)) <= 1e-10 * max(1.0, float(np.max(np.abs(whole))))
+    resid = _mlp_outputs(p, x) - p.Y
+    f_ref = 0.5 * float(np.sum(resid * resid)) / p.sample_count
+    g_ref = p.batch_gradient_sum(x, np.arange(1, p.sample_count + 1)) / p.sample_count
+    assert abs(f - f_ref) <= 1e-12 * f_ref
+    assert np.max(np.abs(g - g_ref)) <= 1e-12 * float(np.max(np.abs(g_ref)))
+    assert p.objective(x) == f and p.full_gradient(x).tobytes() == g.tobytes()
+
+
+def test_mlp_pass_bits_do_not_depend_on_thread_count(monkeypatch):
+    p = make_synthetic_mlp(MlpSpec(widths=(10, 5, 2), sample_count=20_000), seed=4)
+    x = p.x1 + 0.01
+    out = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(problems, "cpu_count", lambda threads=threads: threads)
+        f, g = p.value_and_gradient(x)
+        out[threads] = (f, g.tobytes())
+    assert out[1] == out[2]
+
+
+def test_mlp_pass_pins_blas_and_restores_it_when_a_chunk_raises(monkeypatch):
+    p = make_synthetic_mlp(MlpSpec(widths=(10, 5, 2), sample_count=9_000), seed=4)
+    inner, seen, calls = p._loss_and_grad, set(), []
+
+    def chunk(*args):
+        seen.add(_openblas_threads())
+        calls.append(1)
+        if fail and len(calls) == 2:
+            raise RuntimeError("chunk failure injected")
+        return inner(*args)
+
+    monkeypatch.setattr(p, "_loss_and_grad", chunk)
+    before = _openblas_threads()
+    with blas_threads(2) as cap:  # an engine's cap, around a row evaluated mid-run
+        fail = False
+        p.value_and_gradient(p.x1)
+        assert _openblas_threads() == cap
+        fail = True
+        calls.clear()
+        with pytest.raises(RuntimeError, match="chunk failure injected"):
+            p.value_and_gradient(p.x1 + 0.01)
+        assert _openblas_threads() == cap
+    assert _openblas_threads() == before
+    assert seen == ({1} if before is not None else {None})
+
+
+def test_mlp_targets_match_one_unchunked_pass():
+    spec = MlpSpec(widths=(10, 5, 2), sample_count=12_000, noise_std=0.5)
+    p = make_synthetic_mlp(spec, seed=7)
+    assert p.sample_count > p._BUILD_CHUNK
+    noise = derive_stream(SeedSpec(7), 0, "mlp-noise").standard_normal((p.sample_count, 2))
+    assert p.Y.tobytes() == (_mlp_outputs(p, p.theta_star) + spec.noise_std * noise).tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: make_noisy_quadratic(n=7, N=16),
+                                  lambda: make_synthetic_mlp(MlpSpec(widths=(6, 4, 2), sample_count=300), seed=2)],
+                         ids=["quadratic", "mlp"])
+def test_start_point_is_evaluated_once_per_problem(make):
+    p = make()
+    vars(p).get("_cache", {}).pop("x1", None)  # the quadratic fills it while it is built
+    starts = []
+    inner = p.value_and_gradient
+    p.value_and_gradient = lambda x: starts.append(x.tobytes() == p.x1.tobytes()) or inner(x)
+    cfg = RunConfig(mode="serial", K=20, M=2, gamma=GammaRule.constant(0.01), checkpoint_every=10)
+    runs = [run_serial_sg(p, cfg), run_param_server(p, dataclasses.replace(cfg, mode="con-threads"))[0]]
+    assert starts.count(True) == 1
+    f1, g1 = inner(p.x1)
+    for trace in runs:
+        assert trace.rows[0].f == f1 and trace.rows[0].gradsq == float(g1 @ g1)
+    assert p.value_and_gradient_at_x1()[1].tobytes() == g1.tobytes()
+
+
+def test_cached_start_gradient_is_read_only():
+    p = make_synthetic_mlp(MlpSpec(widths=(6, 4, 2), sample_count=300), seed=2)
+    f, g = p.value_and_gradient_at_x1()
+    kept = g.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        g[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g *= 2.0
+    assert p.value_and_gradient_at_x1()[1].tobytes() == kept
+    assert p.value_and_gradient_at_x1()[0] == f == p.gap
+
 
 def test_mlp_estimated_constants_positive():
     p = make_synthetic_mlp(MlpSpec(sample_count=256), seed=5)
