@@ -359,7 +359,7 @@ def mlp_problem():
     return make_synthetic_mlp(seed=0)
 
 
-def _run_mlp(p, workers, seed, checkpoint_every=1500):
+def _run_mlp(p, workers, seed, checkpoint_every=MLP_K // 2):
     c = cfg("incon-threads", K=MLP_K, M=MLP_M, gamma=GammaRule.constant(MLP_GAMMA),
             workers=workers, checkpoint_every=checkpoint_every, seed=seed)
     trace, _ = run_lockfree_shared(p, c)

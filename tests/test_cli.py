@@ -362,6 +362,25 @@ def test_theory_respects_overrides(tmp_path, capsys):
     assert data["gamma_eq9"] == pytest.approx(0.05)
 
 
+def test_theory_over_enumeration_limit_exits_2(tmp_path):
+    # C(40, 8) supports is past the enumeration limit; a fresh interpreter shows
+    # whether anything but the one error line reaches stderr
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asysg.cli", "theory",
+         "--config", str(root / "configs" / "theory_demo.json"),
+         "--override", "problem.n=40", "--override", "algorithm.T=8"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: constants unavailable"), proc.stderr
+    assert "L_s <= L" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 # ------------------------------------------------------------ speedup command
 
 def write_trace(tmp_path, name, ks, gradsqs, ts):

@@ -6,6 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from asysg import theory
+from asysg.problems import make_noisy_quadratic
 from asysg.theory import (
     SmoothnessConstants,
     bound_con,
@@ -29,6 +31,31 @@ def brute_force_l_s(Q: np.ndarray, s: int) -> float:
         sv = np.linalg.svd(Q[:, list(S)], compute_uv=False)
         best = max(best, float(sv[0]))
     return best
+
+
+def per_support_l_s(Q: np.ndarray, s_values) -> dict[int, float]:
+    """Reference map s -> L_s: one eigvalsh per principal submatrix of Q^2, then
+    the running max and the [L_max, L] clamp that constants_quadratic documents."""
+    Q2 = Q @ Q
+    n = Q.shape[0]
+    L = math.sqrt(max(float(np.linalg.eigvalsh(Q2)[-1]), 0.0))
+    L_max = float(np.abs(np.diag(Q)).max())
+    out, running = {}, 0.0
+    for s in s_values:
+        if s == n:
+            raw = L
+        elif s == 1:
+            raw = math.sqrt(float(np.diag(Q2).max()))
+        else:
+            best = 0.0
+            for S in combinations(range(n), s):
+                lam = float(np.linalg.eigvalsh(Q2[np.ix_(S, S)])[-1])
+                if lam > best:
+                    best = lam
+            raw = math.sqrt(max(best, 0.0))
+        running = max(running, raw)
+        out[s] = min(max(running, L_max), L)
+    return out
 
 
 # ------------------------------------------------------------ constants
@@ -78,6 +105,54 @@ def test_constants_rejects_bad_input():
         constants_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         constants_quadratic(np.eye(30), enumeration_limit=1000)
+
+
+def test_constants_equal_per_support_loop_bit_for_bit():
+    rng = np.random.default_rng(2015)
+    for _ in range(30):
+        n = int(rng.integers(1, 10))
+        A = rng.standard_normal((n, n))
+        Q = (A + A.T) / 2
+        ref = per_support_l_s(Q, range(1, n + 1))
+        c = constants_quadratic(Q)
+        assert c.L_s == ref
+        for s in range(1, n + 1):
+            assert constants_quadratic(Q, s_values=[s]).L_s[s] == per_support_l_s(Q, [s])[s]
+
+
+def test_shipped_quadratic_l_t_equals_per_support_loop():
+    p = make_noisy_quadratic()
+    assert p.n == 20
+    assert p.l_s(4) == per_support_l_s(p.Q, [4])[4]
+
+
+def test_constants_blocks_span_supports(monkeypatch):
+    # 36 entries hold four 3 x 3 submatrices: C(7, 3) = 35 supports make eight
+    # full blocks and a partial last one of three
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((7, 7))
+    Q = (A + A.T) / 2
+    ref = per_support_l_s(Q, [3])
+    real = np.linalg.eigvalsh
+    stacks = []
+
+    def counting_eigvalsh(a, *args, **kw):
+        if np.ndim(a) == 3:
+            stacks.append(len(a))
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(theory, "EIGH_BLOCK_ENTRIES", 36)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert constants_quadratic(Q, s_values=[3]).L_s == ref
+    assert stacks == [4] * 8 + [3]
+
+
+def test_constants_limit_raises_before_any_eigensolve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match=r"L_s <= L"):
+        constants_quadratic(np.eye(30), s_values=[15])  # C(30, 15) is past the default limit
+    assert calls == []
 
 
 # ------------------------------------------------------------ consistent-read formulas
