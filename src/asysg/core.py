@@ -136,9 +136,6 @@ class HistoryRing:
         self._slots: list[Any] = [None] * (horizon + 1)
         self._count = 0  # number of items appended; item i lives at slot i % (horizon+1)
 
-    def __len__(self) -> int:
-        return self._count
-
     def append(self, item: Any) -> int:
         """Store item under the next index and return that index."""
         idx = self._count
@@ -285,21 +282,25 @@ class Recorder:
     """The run recorder of every engine: snapshots during the run, evaluation afterwards.
 
     While the run is timed, `snap` only stamps (k, t, a copy of x), so the t
-    column measures optimisation alone, and each engine writes the delay of
-    its j-th applied update into `delays[j]` (entry 0 stays 0; an engine
-    without staleness writes nothing).  `finish` then evaluates each snapshot
-    through one `value_and_gradient` call, in k order, and returns the
-    validated trace; row k reports max(delays[:k+1]).  A k = 0 snapshot whose
-    bytes equal x1 reads the problem's cached `value_and_gradient_at_x1`
-    instead, so the start point is evaluated once per problem, however many
-    runs it serves.  Every snapshot is kept until then: peak memory grows by
-    rows x n x 8 bytes, plus (K+1) x 8 for the delay log.  A non-finite iterate, objective or gradient norm raises
+    column measures optimisation alone.  Each engine also keeps one per-update
+    log here: entry j of `delays` is the delay of its j-th applied update and
+    entry j of `worker_ids` the worker that applied it (entry 0 of both stays
+    0; an engine without staleness writes no delay, a simulator no worker id).
+    Both are trace meta "delays" and "worker_ids".  `finish` then evaluates
+    each snapshot through one `value_and_gradient` call, in k order, and
+    returns the validated trace; row k reports max(delays[:k+1]).  A k = 0
+    snapshot whose bytes equal x1 reads the problem's cached
+    `value_and_gradient_at_x1` instead, so the start point is evaluated once
+    per problem, however many runs it serves.  Every snapshot is kept until
+    then: peak memory grows by rows x n x 8 bytes, plus (K+1) x 16 for the
+    per-update log.  A non-finite iterate, objective or gradient norm raises
     EngineError carrying the rows evaluated before it.
     """
 
     def __init__(self, p, cfg: RunConfig, gamma: float):
         self.p = p
         self.delays = np.zeros(cfg.K + 1, dtype=np.int64)
+        self.worker_ids = np.zeros(cfg.K + 1, dtype=np.int64)
         self.every = cfg.checkpoint_every
         self.gamma = gamma
         self.meta = {
@@ -309,6 +310,8 @@ class Recorder:
             "gamma": gamma,
             "workers": cfg.workers,
             "config_fingerprint": f"{p.name}|{cfg.fingerprint()}",
+            "delays": self.delays,
+            "worker_ids": self.worker_ids,
         }
         self._snaps: list[tuple[int, float, np.ndarray]] = []
         self.t0 = time.perf_counter()

@@ -21,8 +21,7 @@ Both engines record through `core.Recorder`: a row is stamped (k, t, copy of
 x) at snapshot time and its f and gradient are evaluated after the run, so the
 t column excludes checkpoint evaluation.  Holding the copies until then costs
 rows x n x 8 bytes of peak memory (about 1 MB for the 46,380-parameter MLP at
-three rows), plus (K+1) x 8 bytes for the delay log and K x M x 8 bytes for
-the replay log of sample indices (trace meta "pushes" or "entries").
+three rows), plus (K+1) x 16 bytes for the recorder's per-update log.
 
 Both engines run their workers inside one `_WorkerPool`.  While workers run,
 it caps numpy's bundled OpenBLAS at max(1, cores // workers) threads
@@ -40,13 +39,20 @@ write landing.
 
 Delay accounting: one delay per applied update, stored in `Recorder.delays`
 at the update's ordinal j (1..K), with the contributing worker's id at index j
-of a parallel array; row k reports the running max up to j = k, and
-`delay_stats` reads both arrays after the run.  In con-threads the delay of
-update k+1 is k minus the master version its push was computed at.  In
-incon-threads it is the number of other writes that landed between the
-worker's read (the applied-write count just before its copy) and its own
-write: delay is labelled after the read, the perturbed-iterate convention
-(Mania et al., arXiv 1507.06970).
+of `Recorder.worker_ids` (trace meta "delays" and "worker_ids"); row k reports
+the running max up to j = k, and `delay_stats` reads both arrays after the
+run.  In con-threads the delay of update k+1 is k minus the master version
+its push was computed at.  In incon-threads it is the number of other writes
+that landed between the worker's read (the applied-write count just before
+its copy) and its own write: delay is labelled after the read, the
+perturbed-iterate convention (Mania et al., arXiv 1507.06970).
+
+These two arrays are each run's whole schedule.  Every worker draws from its
+own streams, so the j-th update a worker applies used its j-th draws: a
+parameter-server update is rebuilt from its delay, its worker id and that
+worker's `sample` stream, and a one-worker lock-free run gives the same rows
+and final iterate as `incon-sim` with prefix(0), T=0 and the same seed.
+Trace meta "x_final" is the last iterate.
 """
 from __future__ import annotations
 
@@ -192,13 +198,9 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     versions form the gapless sequence 0..K and every pull sees one complete
     vector.  A push's delay is (update index at apply) - (version at pull).
     Workers keep at most one unapplied push outstanding, so a single worker can
-    only ever be 0 or 1 versions behind.
-
-    Trace meta "pushes" lists the (version, sample indices) of every applied
-    push in apply order and "x_final" is the last iterate, so
-    `engines_sim.replay_con_updates` rebuilds the run exactly on one thread
-    (the MLP's bits match only under the same BLAS thread count,
-    meta "blas_threads").
+    only ever be 0 or 1 versions behind, and each worker's pushes land in the
+    order it drew their samples.  Rebuilding a run on one thread matches the
+    MLP's bits only under the same BLAS thread count (meta "blas_threads").
     """
     require_mode(cfg, "con-threads")
     gamma = resolve_gamma(cfg, p)
@@ -211,10 +213,9 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
         rng = derive_stream(cfg.seeds, w, "sample")
         while not pool.stop.is_set():
             version, snap = published[0]
-            xis = rng.integers(1, p.sample_count + 1, size=cfg.M)
-            gsum = p.batch_gradient_sum(snap, xis)
+            gsum = p.batch_gradient_sum(snap, rng.integers(1, p.sample_count + 1, size=cfg.M))
             slots[w].acquire()  # previous push must land first
-            pushes.put((w, version, xis, gsum))
+            pushes.put((w, version, gsum))
 
     def wake():
         pushes.put(None)  # before the slots: a push a released worker adds lands behind it
@@ -222,8 +223,6 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
             slot.release()
 
     rec = Recorder(p, cfg, gamma)
-    who = np.zeros(cfg.K + 1, dtype=np.int64)  # worker id of each update, beside rec.delays
-    log: list[tuple[int, np.ndarray]] = []
     pool = _WorkerPool(worker, cfg.workers, wake, rec)
     with pool:
         for k in range(cfg.K):
@@ -235,17 +234,16 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
                 raise EngineError(f"no worker push within {_STALL_LIMIT}s at update {k}", rec.trace()) from None
             if push is None:  # a worker failed: leave without row K, the pool raises it
                 break
-            w, version, xis, gsum = push
-            rec.delays[k + 1], who[k + 1] = k - version, w
-            log.append((version, xis))
+            w, version, gsum = push
+            rec.delays[k + 1], rec.worker_ids[k + 1] = k - version, w
             x = x - gamma * gsum  # fresh array: earlier snapshots stay intact
             published[0] = (k + 1, x)
             slots[w].release()
         else:
             rec.snap(cfg.K, x)
     trace = rec.finish()
-    trace.meta.update(blas_threads=pool.blas_threads, pushes=log, x_final=x)
-    return trace, delay_stats(rec.delays[1:], workers=who[1:])
+    trace.meta.update(blas_threads=pool.blas_threads, x_final=x)
+    return trace, delay_stats(rec.delays[1:], workers=rec.worker_ids[1:])
 
 
 # ------------------------------------------------------------ lock-free shared memory
@@ -265,10 +263,6 @@ def run_lockfree_shared(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     The calling thread joins the workers one `_STALL_LIMIT` window at a time
     and declares the run hung when a whole window lands no write, so a stall
     is detected between one and two windows after the last write.
-
-    Trace meta "entries" lists the (coordinate, sample indices) of every write
-    in landing order and "x_final" is the last iterate; with workers=1,
-    `engines_sim.replay_incon_updates` rebuilds the run exactly.
     """
     require_mode(cfg, "incon-threads")
     if cfg.K >= 2**62:
@@ -280,8 +274,6 @@ def run_lockfree_shared(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     # so under the GIL rows stamped in ordinal order are stamped in time order too
     landed = zip(itertools.count(1), iter(time.perf_counter, None))
     applied = np.zeros(1, dtype=np.int64)  # count of landed coordinate writes
-    who = np.zeros(cfg.K + 1, dtype=np.int64)  # worker id of each write, beside rec.delays
-    entries: list[tuple[int, np.ndarray]] = []
     rec = Recorder(p, cfg, gamma)
 
     def worker(w: int):
@@ -300,8 +292,7 @@ def run_lockfree_shared(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
             v_apply = int(applied[0])
             np.add.at(applied, 0, 1)
             ordinal, stamp = next(landed)
-            rec.delays[ordinal], who[ordinal] = v_apply - v_read, w
-            entries.append((i, xis))
+            rec.delays[ordinal], rec.worker_ids[ordinal] = v_apply - v_read, w
             if ordinal < cfg.K and rec.due(ordinal):
                 rec.snap(ordinal, x, at=stamp)
 
@@ -318,6 +309,6 @@ def run_lockfree_shared(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
         raise EngineError(f"applied {int(applied[0])} writes, expected {cfg.K}", rec.trace())
     rec.snap(cfg.K, x)  # quiescent: exact final iterate
     trace = rec.finish()
-    trace.meta.update(blas_threads=pool.blas_threads, entries=entries, x_final=x,
+    trace.meta.update(blas_threads=pool.blas_threads, x_final=x,
                       snapshots="rows are copied by the writing worker, unsynchronized, and may be torn")
-    return trace, delay_stats(rec.delays[1:], workers=who[1:])
+    return trace, delay_stats(rec.delays[1:], workers=rec.worker_ids[1:])

@@ -23,6 +23,12 @@ per iteration: read masks of the warm-up iterations k < T, whose windows are
 narrower, and the sparse variant's coordinate, whose range is the support of
 the gradient just computed.  Each iteration's delays and read masks are
 checked against its window once; the ring's slots are then read unchecked.
+
+Each update's delay goes into the recorder's per-update log (trace meta
+"delays"; "worker_ids" stays 0 on one simulated worker).  The inconsistent-read
+simulators also record each update's coordinate and signed delta in meta
+"coords" and "deltas", indexed like "delays" (a sparse skip records coordinate
+0 and delta 0.0); with the seed's streams these arrays fix every iterate.
 """
 from __future__ import annotations
 
@@ -269,7 +275,7 @@ def _read_masks(rm, rng: np.random.Generator, k0: int, k1: int, M: int, T: int) 
     return warm + (list(rm.draw_block(rng, full, k1 - full, M, T)) if full < k1 else [])
 
 
-def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
+def _run_incon(p, cfg: RunConfig, sparse: bool):
     rm, M, T = cfg.read_model, cfg.M, cfg.T
     gamma = resolve_gamma(cfg, p)
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
@@ -279,12 +285,12 @@ def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
     x = p.x1
     ring = HistoryRing(T)  # per-iteration single-coordinate deltas (i_j, delta_j)
     rec = Recorder(p, cfg, gamma)
-    log: list[dict] | None = [] if collect_log else None
+    coords, deltas = [0], [0.0]  # coordinate and delta of each update, indexed like rec.delays
     skips = 0
     for k0, k1 in _blocks(cfg.K):
         S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, M))
         if not sparse:  # uniform coordinates, drawn before the gradients
-            coords = rng_coord.integers(p.n, size=k1 - k0).tolist()
+            C = rng_coord.integers(p.n, size=k1 - k0).tolist()
         R = _read_masks(rm, rng_read, k0, k1, M, T)
         for b, k in enumerate(range(k0, k1)):
             if rec.due(k):
@@ -297,7 +303,7 @@ def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
                                   f"[{lo}, {k - 1}] for {M} reads", rec.trace())
             rows = R[b].tolist()
             if not sparse:
-                i_k = coords[b]
+                i_k = C[b]
             acc = np.zeros(p.n) if sparse else 0.0
             deepest = 0  # how far back this iteration's reads miss updates
             for a, e in _runs(rows):  # equal read sets reconstruct the same vector: share it
@@ -328,47 +334,24 @@ def _run_incon(p, cfg: RunConfig, sparse: bool, collect_log: bool):
                     delta = sparse_coordinate_update(acc, gamma, i_k)
                     x[i_k] += delta
             ring.append((i_k, delta))
-            if log is not None:
-                Js = [tuple(lo + t for t in range(w) if row[t]) for row in rows]
-                log.append({"k": k, "xis": xis.tolist(), "i": i_k, "J": Js, "delta": delta})
+            coords.append(i_k)
+            deltas.append(delta)
     rec.snap(cfg.K, x)
     trace = rec.finish(delay_cap=T)
-    trace.meta["sparse_skips"] = skips
-    if log is not None:
-        trace.meta["log"] = log
-    trace.meta["x_final"] = x
+    trace.meta.update(sparse_skips=skips, coords=np.array(coords), deltas=np.array(deltas), x_final=x)
     return trace
 
 
-def run_asysg_incon_sim(p, cfg: RunConfig, collect_log: bool = False) -> Trace:
+def run_asysg_incon_sim(p, cfg: RunConfig) -> Trace:
     """Inconsistent-read updates: one uniformly chosen coordinate of x moves per
     iteration, by -gamma times that coordinate of the minibatch gradient taken at
     x_hat = x_k minus the read set's missed single-coordinate deltas."""
     require_mode(cfg, "incon-sim")
-    return _run_incon(p, cfg, sparse=False, collect_log=collect_log)
+    return _run_incon(p, cfg, sparse=False)
 
 
-def run_asysg_incon_sparse_sim(p, cfg: RunConfig, collect_log: bool = False) -> Trace:
+def run_asysg_incon_sparse_sim(p, cfg: RunConfig) -> Trace:
     """Sparse variant: the coordinate is uniform over the aggregated gradient's
     support and the step is scaled by the support size; zero gradients skip."""
     require_mode(cfg, "incon-sparse-sim")
-    return _run_incon(p, cfg, sparse=True, collect_log=collect_log)
-
-
-def replay_incon_updates(p, gamma: float, entries: list[tuple[int, list[int]]]) -> np.ndarray:
-    """Drive the inconsistent-read update rule with a forced (i, xis) sequence and
-    empty read sets; returns the final iterate.  This is the log-replay oracle for
-    the single-worker lock-free engine."""
-    x = p.x1
-    for i, xis in entries:
-        x[i] += -(gamma * p.coordinate_gradient_sum(x, np.asarray(xis, dtype=int), i))
-    return x
-
-
-def replay_con_updates(p, gamma: float, pushes: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Apply each (version, xis) push's gradient, taken at that version's iterate,
-    in order; returns the final iterate: the parameter server's replay oracle."""
-    xs = [p.x1]
-    for version, xis in pushes:
-        xs.append(xs[-1] - gamma * p.batch_gradient_sum(xs[version], xis))
-    return xs[-1]
+    return _run_incon(p, cfg, sparse=True)

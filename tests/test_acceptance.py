@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from asysg import theory
-from asysg.core import GammaRule, RunConfig, SeedSpec
+from asysg.core import GammaRule, RunConfig, SeedSpec, derive_stream
 from asysg.engines_parallel import run_lockfree_shared
 from asysg.engines_sim import (
     DelayModel,
@@ -73,20 +73,28 @@ def test_criterion_1_degeneracy_equivalence():
 #    and subtracts true iterate differences, to 1e-12 per coordinate.
 # =====================================================================
 
-def _reference_incon(p, gamma, log):
+def _reference_incon(p, c, coords):
     """Brute-force reference: x_hat(k) = x_k - sum_{j in J} (x_{j+1} - x_j),
-    all snapshots kept, gradients summed one sample at a time."""
+    all snapshots kept, gradients summed one sample at a time.  Samples and
+    read sets are drawn again from the seed's streams, one call per iteration
+    (tests/test_core.py pins these calls to the engine's block draws); update
+    k moves the engine's coordinate coords[k + 1]."""
+    rng_s = derive_stream(c.seeds, 0, "sample")
+    rng_r = derive_stream(c.seeds, 0, "read")
+    gamma = c.gamma.value
     xs = [p.x1]
-    for e in log:
+    for k in range(c.K):
+        xis = rng_s.integers(1, p.sample_count + 1, size=c.M)
         x = xs[-1]
         acc = np.zeros(p.n)
-        for m, J in enumerate(e["J"]):
+        for m, J in enumerate(c.read_model.draw(rng_r, k, c.M, c.T)):
             xhat = x.copy()
             for j in J:
                 xhat -= xs[j + 1] - xs[j]
-            acc += p.stochastic_gradient(xhat, e["xis"][m])
+            acc += p.stochastic_gradient(xhat, int(xis[m]))
+        i = int(coords[k + 1])
         nxt = x.copy()
-        nxt[e["i"]] += -(gamma * acc[e["i"]])
+        nxt[i] += -(gamma * acc[i])
         xs.append(nxt)
     return xs
 
@@ -111,16 +119,18 @@ def test_criterion_2_incon_reconstruction():
         c = cfg("incon-sim", K=int(rng.integers(20, 201)), M=int(rng.integers(1, 4)),
                 gamma=GammaRule.constant(gamma), T=T, read_model=rm,
                 checkpoint_every=50, seed=int(rng.integers(10_000)))
-        trace = run_asysg_incon_sim(p, c, collect_log=True)
-        log = trace.meta["log"]
+        trace = run_asysg_incon_sim(p, c)
+        coords, deltas = trace.meta["coords"], trace.meta["deltas"]
+        rng_c = derive_stream(c.seeds, 0, "coord")
+        assert coords[1:].tolist() == [int(rng_c.integers(p.n)) for _ in range(c.K)]
 
-        xs_ref = _reference_incon(p, gamma, log)
-        # engine-side iterates, replayed bitwise from the logged deltas
+        xs_ref = _reference_incon(p, c, coords)
+        # engine-side iterates, replayed bitwise from the recorded deltas
         x_eng = p.x1
         assert np.array_equal(x_eng, xs_ref[0])
-        for step, e in enumerate(log, start=1):
+        for step in range(1, c.K + 1):
             x_eng = x_eng.copy()
-            x_eng[e["i"]] += e["delta"]
+            x_eng[coords[step]] += deltas[step]
             diff = float(np.max(np.abs(x_eng - xs_ref[step])))
             worst = max(worst, diff)
             assert diff <= 1e-12, f"trial {trial} step {step}: {diff}"

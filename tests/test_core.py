@@ -74,6 +74,24 @@ def test_stream_block_random_equal_per_iteration_calls(T):
     assert np.array_equal(block, np.array(rows))
 
 
+@pytest.mark.parametrize("T", [0, 3, 9])
+def test_model_draws_equal_block_rows(T):
+    # the simulator tests draw read sets and delays again with one `draw` call
+    # per iteration; the engines take a per-iteration draw through the warm-up
+    # (k < T) and one block after it
+    B, M, K = 23, 3, T + 23
+    rm, dm = ReadModel.random_subset(0.5), DelayModel.uniform()
+    rng = derive_stream(SeedSpec(4), 0, "read")
+    masks = [rm.draw_block(rng, k, 1, M, T)[0] for k in range(T)] + list(rm.draw_block(rng, T, B, M, T))
+    rng = derive_stream(SeedSpec(4), 0, "read")
+    for k, mask in enumerate(masks):
+        lo = k - mask.shape[1]
+        assert rm.draw(rng, k, M, T) == [tuple(lo + int(t) for t in np.flatnonzero(row)) for row in mask]
+    block = dm.draw_block(derive_stream(SeedSpec(4), 0, "delay"), 0, K, M, T)
+    rng = derive_stream(SeedSpec(4), 0, "delay")
+    assert [dm.draw(rng, k, M, T) for k in range(K)] == block.tolist()
+
+
 def test_stream_rejects_negative_worker():
     with pytest.raises(ValueError):
         derive_stream(SeedSpec(1), -1, "sample")

@@ -1,6 +1,6 @@
-"""Threaded-engine tests: delay accounting, conservation, the single-worker
-oracles, stress tests for the lock-free write primitive, and statistical
-comparisons against the simulators."""
+"""Threaded-engine tests: delay accounting, conservation, rebuilding runs from
+the recorder's per-update log, stress tests for the lock-free write primitive,
+and statistical comparisons against the simulators."""
 import ctypes
 import itertools
 import json
@@ -12,19 +12,14 @@ import numpy as np
 import pytest
 
 from asysg import engines_parallel, theory
-from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec
+from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, derive_stream
 from asysg.engines_parallel import (
     DelayStats,
     delay_stats,
     run_lockfree_shared,
     run_param_server,
 )
-from asysg.engines_sim import (
-    DelayModel,
-    replay_con_updates,
-    replay_incon_updates,
-    run_asysg_con_sim,
-)
+from asysg.engines_sim import DelayModel, ReadModel, run_asysg_con_sim, run_asysg_incon_sim
 from asysg.problems import MlpSpec, make_noisy_quadratic, make_synthetic_mlp
 
 
@@ -144,24 +139,35 @@ def test_param_server_cor2_gamma_respects_bound():
     assert np.mean(finals) <= bound
 
 
+def _small_problem(problem):
+    if problem == "quadratic":
+        return make_noisy_quadratic(n=8, sigma=1.0, N=8)
+    return make_synthetic_mlp(MlpSpec(widths=(8, 6, 3), sample_count=64), seed=1)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("problem", ["quadratic", "mlp"])
 def test_param_server_replay_is_bitexact(problem, workers):
-    # the master is the only writer: each update is a pure function of its push's
-    # version and samples, so the push log rebuilds x_final and every row's delay
-    if problem == "quadratic":
-        p = make_noisy_quadratic(n=8, sigma=1.0, N=8)
-    else:
-        p = make_synthetic_mlp(MlpSpec(widths=(8, 6, 3), sample_count=64), seed=1)
-    gamma, K = 0.05, 200
-    trace, stats = run_param_server(p, tcfg("con-threads", K=K, M=2, gamma=gamma,
+    # the master is the only writer and each worker's pushes land in the order it
+    # drew their samples: update j is a pure function of its delay, its worker id
+    # and that worker's next draw, so the recorder's two logs rebuild every iterate
+    p = _small_problem(problem)
+    gamma, K, M = 0.05, 200, 2
+    trace, stats = run_param_server(p, tcfg("con-threads", K=K, M=M, gamma=gamma,
                                             workers=workers, every=1))
-    pushes = trace.meta["pushes"]
-    assert len(pushes) == K
-    assert np.array_equal(replay_con_updates(p, gamma, pushes), trace.meta["x_final"])
-    running = np.maximum.accumulate([0] + [k - version for k, (version, _) in enumerate(pushes)])
+    delays, ids = trace.meta["delays"], trace.meta["worker_ids"]
+    assert len(delays) == len(ids) == K + 1
+    streams = [derive_stream(SeedSpec(0), w, "sample") for w in range(workers)]
+    xs = [p.x1]
+    for k in range(K):
+        xis = streams[ids[k + 1]].integers(1, p.sample_count + 1, size=M)
+        xs.append(xs[k] - gamma * p.batch_gradient_sum(xs[k - delays[k + 1]], xis))
+    assert xs[K].tobytes() == trace.meta["x_final"].tobytes()  # bytes: a -0.0 entry counts
+    running = np.maximum.accumulate(delays)
     assert [r.k for r in trace.rows] == list(range(K + 1))
-    assert [r.max_delay_observed for r in trace.rows] == running.tolist()
+    for r in trace.rows:
+        f, g = p.value_and_gradient(xs[r.k])
+        assert (r.f, r.gradsq, r.max_delay_observed) == (f, float(g @ g), running[r.k])
     assert stats.max_observed == running[-1]
 
 
@@ -257,18 +263,16 @@ def test_lockfree_applies_exactly_k_writes(every):
 
 @pytest.mark.parametrize("problem", ["quadratic", "mlp"])
 def test_lockfree_single_worker_replay_is_bitexact(problem):
-    if problem == "quadratic":
-        p = make_noisy_quadratic(n=8, sigma=1.0, N=8)
-    else:
-        p = make_synthetic_mlp(MlpSpec(widths=(8, 6, 3), sample_count=64), seed=1)
-    gamma = 0.05
-    trace, stats = run_lockfree_shared(
-        p, tcfg("incon-threads", K=200, M=2, gamma=gamma, workers=1, every=50))
-    entries = trace.meta["entries"]
-    assert len(entries) == 200
-    x = replay_incon_updates(p, gamma, entries)
-    assert np.array_equal(x, trace.meta["x_final"])
-    assert stats.max_observed == 0                  # quiescent between every claim
+    # one worker is quiescent between claims and draws from worker 0's streams,
+    # as the simulator does: the run is incon-sim with prefix(0) reads and T = 0
+    p = _small_problem(problem)
+    for every in (1, 50):
+        kw = dict(K=200, M=2, gamma=GammaRule.constant(0.05), checkpoint_every=every, seeds=SeedSpec(0))
+        trace, stats = run_lockfree_shared(p, RunConfig(mode="incon-threads", workers=1, **kw))
+        sim = run_asysg_incon_sim(p, RunConfig(mode="incon-sim", T=0, read_model=ReadModel.prefix(0), **kw))
+        assert trace.rows_excluding_time() == sim.rows_excluding_time()
+        assert trace.meta["x_final"].tobytes() == sim.meta["x_final"].tobytes()
+        assert stats.max_observed == 0              # quiescent between every claim
 
 
 def test_lockfree_zero_gamma_freezes():

@@ -1,5 +1,5 @@
 """Simulator tests: hand-computed rollouts, degeneracy bit-identity against the
-serial engine, and independent full-history replays of the inconsistent-read log."""
+serial engine, and independent full-history replays of the inconsistent-read runs."""
 import math
 
 import numpy as np
@@ -12,7 +12,6 @@ from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, derive_strea
 from asysg.engines_sim import (
     DelayModel,
     ReadModel,
-    replay_incon_updates,
     resolve_gamma,
     run_asysg_con_sim,
     run_asysg_incon_sim,
@@ -239,33 +238,55 @@ def test_con_sim_trace_respects_delay_cap():
 
 # ------------------------------------------------------------ inconsistent-read sim
 
-def _replay_incon_log(p, gamma, trace, sparse=False, exact=True):
-    """Replay a collected log against the definition: read vectors rebuilt from
-    full stored iterates, gradients re-summed per sample, deltas re-derived.
-    Returns the worst per-coordinate gap between the delta-based reconstruction
-    and the full-history one.  Delta equality is bitwise when every sample of an
-    iteration shares one read set (flat and grouped sums coincide), within 1e-12
-    otherwise.  Each row's max_delay_observed must be the deepest miss, k - min(J),
-    over the read sets of iterations 0..k-1."""
-    log = trace.meta["log"]
-    deepest = [max((e["k"] - J[0] for J in e["J"] if J), default=0) for e in log]
-    running = np.maximum.accumulate([0] + deepest)
-    assert trace.column("max_delay_observed") == [int(running[r.k]) for r in trace.rows]
+def _redraw(p, cfg):
+    """(k, samples, read sets) of every iteration, drawn again from the seed's
+    streams with one call per iteration; tests/test_core.py pins these calls to
+    the engines' block draws."""
+    rng_s = derive_stream(cfg.seeds, 0, "sample")
+    rng_r = derive_stream(cfg.seeds, 0, "read")
+    for k in range(cfg.K):
+        xis = rng_s.integers(1, p.sample_count + 1, size=cfg.M)
+        yield k, xis, cfg.read_model.draw(rng_r, k, cfg.M, cfg.T)
+
+
+def _coord_draws(p, cfg):
+    """The non-sparse rule's coordinates, one draw per iteration."""
+    rng_c = derive_stream(cfg.seeds, 0, "coord")
+    return [int(rng_c.integers(p.n)) for _ in range(cfg.K)]
+
+
+def _replay_incon_log(p, cfg, trace, sparse=False, exact=True):
+    """Replay a run against the definition: samples and read sets drawn again,
+    read vectors rebuilt from full stored iterates, gradients re-summed per
+    sample, deltas re-derived; the engine's iterates come from its per-update
+    arrays meta "coords" and "deltas".  Returns the worst per-coordinate gap
+    between the delta-based reconstruction and the full-history one.  Delta
+    equality is bitwise when every sample of an iteration shares one read set
+    (flat and grouped sums coincide), within 1e-12 otherwise.  Each update's
+    delay, and so each row's max_delay_observed, must be the deepest miss,
+    k - min(J), over the read sets of its iteration."""
+    gamma = cfg.gamma.value
+    coords, deltas = trace.meta["coords"], trace.meta["deltas"]
+    assert len(coords) == len(deltas) == cfg.K + 1
+    if not sparse:
+        assert coords[1:].tolist() == _coord_draws(p, cfg)
     xs = [p.x1]
+    deepest = [0]
     worst = 0.0
-    for e in log:
-        k, xis, i, Js, delta = e["k"], e["xis"], e["i"], e["J"], e["delta"]
+    for k, xis, Js in _redraw(p, cfg):
+        i, delta = int(coords[k + 1]), deltas[k + 1]
+        deepest.append(max((k - J[0] for J in Js if J), default=0))
         x_k = xs[k]
         acc = np.zeros(p.n)
         for m, J in enumerate(Js):
             xhat = x_k.copy()
             for j in reversed(J):
-                xhat[log[j]["i"]] -= log[j]["delta"]
+                xhat[coords[j + 1]] -= deltas[j + 1]
             xref = x_k.copy()
             for j in J:
                 xref -= xs[j + 1] - xs[j]
             worst = max(worst, float(np.max(np.abs(xhat - xref))))
-            acc += p.stochastic_gradient(xhat, xis[m])
+            acc += p.stochastic_gradient(xhat, int(xis[m]))
         if sparse and not np.any(acc):
             assert i == 0 and delta == 0.0
             xs.append(x_k.copy())
@@ -278,6 +299,9 @@ def _replay_incon_log(p, gamma, trace, sparse=False, exact=True):
         x_next = x_k.copy()
         x_next[i] += delta
         xs.append(x_next)
+    assert trace.meta["delays"].tolist() == deepest
+    running = np.maximum.accumulate(deepest)
+    assert trace.column("max_delay_observed") == [int(running[r.k]) for r in trace.rows]
     assert np.array_equal(xs[-1], trace.meta["x_final"])
     return worst
 
@@ -288,12 +312,8 @@ def _replay_incon_log(p, gamma, trace, sparse=False, exact=True):
 ])
 def test_incon_sim_matches_full_history_reference(rm, exact):
     p = make_noisy_quadratic(n=6, sigma=1.0, N=8)
-    gamma = 0.1
-    tr = run_asysg_incon_sim(
-        p, cfg_for("incon-sim", K=40, M=3, gamma=gamma, T=3, seed=23, rm=rm),
-        collect_log=True,
-    )
-    worst = _replay_incon_log(p, gamma, tr, exact=exact)
+    cfg = cfg_for("incon-sim", K=40, M=3, gamma=0.1, T=3, seed=23, rm=rm)
+    worst = _replay_incon_log(p, cfg, run_asysg_incon_sim(p, cfg), exact=exact)
     assert worst <= 1e-12
 
 
@@ -307,11 +327,14 @@ def test_incon_sim_prefix0_matches_sync_reference():
     rng_s = derive_stream(SeedSpec(seed), 0, "sample")
     rng_c = derive_stream(SeedSpec(seed), 0, "coord")
     x = p.x1
+    coords = []
     for _ in range(K):
         xis = rng_s.integers(1, p.sample_count + 1, size=M)
         i = int(rng_c.integers(p.n))
+        coords.append(i)
         acc = p.batch_gradient_sum(x, xis)
         x[i] += -(gamma * acc[i])
+    assert tr.meta["coords"][1:].tolist() == coords
     assert np.array_equal(x, tr.meta["x_final"])
     assert tr.rows[-1].f == p.objective(x)
 
@@ -319,21 +342,18 @@ def test_incon_sim_prefix0_matches_sync_reference():
 def test_incon_sim_single_coordinate_updates_and_bounded_age():
     p = make_noisy_quadratic(n=6, sigma=1.0, N=8)
     T = 4
-    tr = run_asysg_incon_sim(
-        p, cfg_for("incon-sim", K=50, M=2, gamma=0.1, T=T, seed=31,
-                   rm=ReadModel.random_subset(0.6)),
-        collect_log=True,
-    )
+    cfg = cfg_for("incon-sim", K=50, M=2, gamma=0.1, T=T, seed=31, rm=ReadModel.random_subset(0.6))
+    tr = run_asysg_incon_sim(p, cfg)
     tr.validate(delay_cap=T)
-    log = tr.meta["log"]
-    assert len(log) == 50
+    coords, deltas = tr.meta["coords"], tr.meta["deltas"]
+    assert len(coords) == len(deltas) == 51
+    assert coords[1:].tolist() == _coord_draws(p, cfg)
     x = p.x1
-    for e in log:
-        k = e["k"]
-        for J in e["J"]:
+    for k, _, Js in _redraw(p, cfg):
+        for J in Js:
             assert all(max(0, k - T) <= j < k for j in J)
         x_next = x.copy()
-        x_next[e["i"]] += e["delta"]           # one coordinate moves per iteration
+        x_next[coords[k + 1]] += deltas[k + 1]   # one coordinate moves per iteration
         assert np.count_nonzero(x_next != x) <= 1
         x = x_next
     assert np.array_equal(x, tr.meta["x_final"])
@@ -373,18 +393,6 @@ def test_incon_sim_rejects_read_set_outside_window():
         run_asysg_incon_sim(quad_1d(), cfg_for("incon-sim", K=3, T=2, rm=RogueReads()))
 
 
-def test_replay_helper_matches_engine():
-    p = make_noisy_quadratic(n=5, sigma=1.0, N=8)
-    gamma = 0.2
-    tr = run_asysg_incon_sim(
-        p, cfg_for("incon-sim", K=25, M=2, gamma=gamma, T=0, seed=13, rm=ReadModel.prefix(0)),
-        collect_log=True,
-    )
-    entries = [(e["i"], e["xis"]) for e in tr.meta["log"]]
-    x = replay_incon_updates(p, gamma, entries)
-    assert np.array_equal(x, tr.meta["x_final"])
-
-
 # ------------------------------------------------------------ sparse variant
 
 def test_sparse_coordinate_update_examples():
@@ -415,12 +423,10 @@ def test_sparse_sim_skips_zero_gradient():
     # start at the minimizer with no noise: every aggregated gradient is exactly zero
     p = NoisyQuadratic(np.diag([1.0, 2.0]), np.zeros(2), 0.0, 2, np.zeros(2))
     tr = run_asysg_incon_sparse_sim(
-        p, cfg_for("incon-sparse-sim", K=5, M=2, gamma=0.1, T=0, rm=ReadModel.prefix(0)),
-        collect_log=True,
-    )
+        p, cfg_for("incon-sparse-sim", K=5, M=2, gamma=0.1, T=0, rm=ReadModel.prefix(0)))
     assert tr.meta["sparse_skips"] == 5
     assert np.array_equal(tr.meta["x_final"], np.zeros(2))
-    assert all(e["delta"] == 0.0 for e in tr.meta["log"])
+    assert tr.meta["coords"].tolist() == [0] * 6 and tr.meta["deltas"].tolist() == [0.0] * 6
 
 
 @pytest.mark.parametrize("rm,exact", [
@@ -429,12 +435,9 @@ def test_sparse_sim_skips_zero_gradient():
 ])
 def test_sparse_sim_matches_full_history_reference(rm, exact):
     p = make_noisy_quadratic(n=6, sigma=1.0, N=8)
-    gamma = 0.02  # support-size scaling multiplies steps by up to n
-    tr = run_asysg_incon_sparse_sim(
-        p, cfg_for("incon-sparse-sim", K=40, M=3, gamma=gamma, T=2, seed=29, rm=rm),
-        collect_log=True,
-    )
-    worst = _replay_incon_log(p, gamma, tr, sparse=True, exact=exact)
+    # gamma 0.02: support-size scaling multiplies steps by up to n
+    cfg = cfg_for("incon-sparse-sim", K=40, M=3, gamma=0.02, T=2, seed=29, rm=rm)
+    worst = _replay_incon_log(p, cfg, run_asysg_incon_sparse_sim(p, cfg), sparse=True, exact=exact)
     assert worst <= 1e-12
 
 
@@ -469,21 +472,20 @@ def test_block_length_leaves_runs_unchanged(case, monkeypatch):
     T = 0 if mode == "serial" else 9
     cfg = cfg_for(mode, K=45, M=3, gamma=0.01 if mode == "incon-sparse-sim" else 0.05,
                   T=T, seed=19, **models)
-    kw = {"collect_log": True} if mode.startswith("incon") else {}
 
     def run():
-        tr = _ENGINE_OF[mode](p, cfg, **kw)
-        x_final = tr.meta.get("x_final")
-        return tr.rows_excluding_time(), x_final is not None and x_final.tobytes(), tr.meta.get("log")
+        tr = _ENGINE_OF[mode](p, cfg)
+        logs = {key: tr.meta[key].tobytes() for key in ("delays", "worker_ids", "coords", "deltas", "x_final")
+                if key in tr.meta}
+        return tr.rows_excluding_time(), logs
 
-    rows, x_final, log = run()
+    rows, logs = run()
     assert len(rows) == 46
     for block in (1, 7):
         monkeypatch.setattr(engines_sim, "DRAW_BLOCK", block)
-        b_rows, b_x_final, b_log = run()
+        b_rows, b_logs = run()
         assert b_rows == rows
-        assert b_x_final == x_final
-        assert b_log == log
+        assert b_logs == logs
 
 
 # ------------------------------------------------------------ gamma resolution

@@ -8,7 +8,7 @@ import pytest
 
 from asysg import core, problems
 from asysg.core import MODES, SIM_MODES, GammaRule, RunConfig, SeedSpec, blas_threads, derive_stream
-from asysg.engines_parallel import run_lockfree_shared, run_param_server
+from asysg.engines_parallel import delay_stats, run_lockfree_shared, run_param_server
 from asysg.engines_sim import (
     DelayModel,
     ReadModel,
@@ -566,8 +566,8 @@ _ENGINES = {
     "con-sim": run_asysg_con_sim,
     "incon-sim": run_asysg_incon_sim,
     "incon-sparse-sim": run_asysg_incon_sparse_sim,
-    "con-threads": lambda p, c: run_param_server(p, c)[0],
-    "incon-threads": lambda p, c: run_lockfree_shared(p, c)[0],
+    "con-threads": run_param_server,
+    "incon-threads": run_lockfree_shared,
 }
 _MODELS = {"con-sim": {"delay_model": DelayModel.uniform()},
            "incon-sim": {"read_model": ReadModel.prefix(2)},
@@ -580,8 +580,19 @@ def test_minimal_problem_runs_in_every_mode(mode):
     workers = 1 if mode in SIM_MODES else 2
     cfg = RunConfig(mode=mode, K=400, M=2, gamma=GammaRule.constant(0.05), T=2, workers=workers,
                     checkpoint_every=50, seeds=SeedSpec(3), **_MODELS.get(mode, {}))
-    trace = _ENGINES[mode](p, cfg)
+    result = _ENGINES[mode](p, cfg)
+    trace = result if mode in SIM_MODES else result[0]
     trace.validate(delay_cap=cfg.T if mode in SIM_MODES else None)
     assert [r.k for r in trace.rows] == list(range(0, cfg.K + 1, cfg.checkpoint_every))
     assert trace.rows[0].f == p.objective(p.x1)
     assert trace.rows[-1].f < 0.5 * trace.rows[0].f
+    # one per-update log in every mode: entry j is update j, entry 0 is unused
+    delays, ids = trace.meta["delays"], trace.meta["worker_ids"]
+    assert len(delays) == len(ids) == cfg.K + 1
+    assert delays[0] == 0 and ids[0] == 0
+    running = np.maximum.accumulate(delays)
+    assert [r.max_delay_observed for r in trace.rows] == [int(running[r.k]) for r in trace.rows]
+    if mode in SIM_MODES:
+        assert not ids.any()
+    else:
+        assert result[1] == delay_stats(delays[1:], ids[1:])
