@@ -21,9 +21,11 @@ rule).  `gamma` also accepts a bare number as shorthand for a constant
 steplength.  Unknown keys anywhere are rejected with the offending dotted path.
 Replicate r runs with master seed `master_seed + r` and writes
 `<trace>.r<r>.csv`; the last replicate's seed must fit in 64 bits before any
-runs.  Threaded modes add a `<trace>.r<r>.delays.json` sidecar.  Simulator
-modes write t=0 in every row (they have no meaningful wall clock), which keeps
-reruns bit-identical.
+runs.  Threaded modes add a `<trace>.r<r>.delays.json` sidecar of the delays
+the run actually observed: they accept `T` but do not yet bound staleness by
+it, so `asysg theory` figures for their configs assume a T the run does not
+enforce.  Simulator modes write t=0 in every row (they have no meaningful wall
+clock), which keeps reruns bit-identical.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input.
 """

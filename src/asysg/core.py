@@ -41,17 +41,17 @@ def cpu_count() -> int:
 
 
 @contextlib.contextmanager
-def blas_threads(count: int):
-    """Hold numpy's bundled OpenBLAS at `count` threads inside the block, then
-    restore the count found on entry, so holds nest.  The count is process-wide.
-    Yields `count`, or None where BLAS has no thread control (nothing is set)."""
+def blas_threads():
+    """Hold numpy's bundled OpenBLAS at one thread inside the block, then restore
+    the count found on entry, so holds nest.  The count is process-wide.
+    Yields 1, or None where BLAS has no thread control (nothing is set)."""
     if _blas_set is None:
         yield None
         return
     before = _blas_get()
-    _blas_set(count)
+    _blas_set(1)
     try:
-        yield count
+        yield 1
     finally:
         _blas_set(before)
 
@@ -122,9 +122,8 @@ class GammaRule:
 class HistoryRing:
     """Bounded buffer of the last horizon+1 indexed items.
 
-    Slot j holds whatever the owner stores for iteration j: a full iterate
-    snapshot in the consistent-read simulator, a single-coordinate delta
-    (i_j, delta_j) in the inconsistent-read one.  At current index k_now,
+    Slot j holds whatever the owner stores for iteration j: the consistent-read
+    simulator keeps the iterate x_j there.  At current index k_now,
     every j in [max(0, k_now - horizon), k_now] that has been appended is
     retrievable; anything older has been dropped and is rejected.
     """
@@ -163,7 +162,9 @@ class HistoryRing:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs besides the problem: mode, budget, schedule, asynchrony knobs."""
+    """Everything a run needs besides the problem: mode, budget, schedule, asynchrony knobs.
+    `T` bounds every simulator delay; the threaded modes accept it but do not yet
+    bound staleness by it, so theory figures at T assume a bound those runs lack."""
 
     mode: str
     K: int
@@ -286,9 +287,10 @@ class Recorder:
     log here: entry j of `delays` is the delay of its j-th applied update and
     entry j of `worker_ids` the worker that applied it (entry 0 of both stays
     0; an engine without staleness writes no delay, a simulator no worker id).
-    Both are trace meta "delays" and "worker_ids".  `finish` then evaluates
-    each snapshot through one `value_and_gradient` call, in k order, and
-    returns the validated trace; row k reports max(delays[:k+1]).  A k = 0
+    Both are trace meta "delays" and "worker_ids".  `finish(x)` stamps row K
+    from the final iterate, keeps that row's copy as trace meta "x_final",
+    evaluates each snapshot through one `value_and_gradient` call, in k order,
+    and returns the validated trace; row k reports max(delays[:k+1]).  A k = 0
     snapshot whose bytes equal x1 reads the problem's cached
     `value_and_gradient_at_x1` instead, so the start point is evaluated once
     per problem, however many runs it serves.  Every snapshot is kept until
@@ -343,7 +345,10 @@ class Recorder:
                                  max_delay_observed=int(running[k])))
         return Trace(rows, self.meta)
 
-    def finish(self, delay_cap: int | None = None) -> Trace:
+    def finish(self, x: np.ndarray, delay_cap: int | None = None) -> Trace:
+        """Stamp row K from the final iterate `x`, then evaluate and validate every row."""
+        self.snap(len(self.delays) - 1, x)
+        self.meta["x_final"] = self._snaps[-1][2]
         trace = self.trace()
         trace.validate(delay_cap=delay_cap)
         return trace

@@ -24,13 +24,13 @@ rows x n x 8 bytes of peak memory (about 1 MB for the 46,380-parameter MLP at
 three rows), plus (K+1) x 16 bytes for the recorder's per-update log.
 
 Both engines run their workers inside one `_WorkerPool`.  While workers run,
-it caps numpy's bundled OpenBLAS at max(1, cores // workers) threads
-(`core.blas_threads`), so that concurrent BLAS calls do not start more
-threads than there are cores, and restores the previous count before the
-recorder evaluates its rows; trace meta "blas_threads" names the cap (None
-where BLAS has no thread control).  The MLP's full-data pass holds BLAS at one
-thread itself and restores the count it found, so a row evaluated while
-workers still run (a stall's trace) leaves the cap in place.
+it holds numpy's bundled OpenBLAS at one thread (`core.blas_threads`), whatever
+the worker count or the host, so the bits of every update do not depend on the
+host's cores, and restores the previous count before the recorder evaluates
+its rows; trace meta "blas_threads" is 1 (None where BLAS has no thread
+control).  The MLP's full-data pass holds BLAS at one thread itself and
+restores the count it found, so a row evaluated while workers still run (a
+stall's trace) leaves the hold in place.
 No thread polls: the master blocks on its push queue, parameter-server
 workers on their slots, the lock-free caller on the join.  A failing worker
 wakes them all at once and the run raises its failure.  A run is hung when
@@ -52,7 +52,6 @@ own streams, so the j-th update a worker applies used its j-th draws: a
 parameter-server update is rebuilt from its delay, its worker id and that
 worker's `sample` stream, and a one-worker lock-free run gives the same rows
 and final iterate as `incon-sim` with prefix(0), T=0 and the same seed.
-Trace meta "x_final" is the last iterate.
 """
 from __future__ import annotations
 
@@ -70,7 +69,6 @@ from .core import (
     RunConfig,
     Trace,
     blas_threads,
-    cpu_count,
     derive_stream,
     require_mode,
 )
@@ -136,12 +134,12 @@ def delay_stats(delays, workers=None) -> DelayStats:
 # ------------------------------------------------------------ worker pool
 
 class _WorkerPool:
-    """Own the workers' lifecycle.  Entering caps BLAS (`blas_threads`, None
-    where uncapped) and starts `count` threads running target(w).  A failing
-    worker sets `stop` and calls `wake`, which must release every wait the
-    engine and its workers block in.  Leaving stops, wakes, joins, restores
-    BLAS and raises the first failure.  Threads start in `__enter__`, so bind
-    the pool to its name before entering it.
+    """Own the workers' lifecycle.  Entering holds BLAS at one thread (`blas_threads`
+    is 1, None without thread control) and starts `count` threads running
+    target(w).  A failing worker sets `stop` and calls `wake`, which must release
+    every wait the engine and its workers block in.  Leaving stops, wakes, joins,
+    restores BLAS and raises the first failure.  Threads start in `__enter__`, so
+    bind the pool to its name before entering it.
     """
 
     def __init__(self, target, count: int, wake, rec: Recorder):
@@ -150,10 +148,9 @@ class _WorkerPool:
         self.threads = [threading.Thread(target=self._guard, args=(target, w), daemon=True)
                         for w in range(count)]
         self.wake, self.rec = wake, rec
-        self.blas_threads: int | None = None
 
     def __enter__(self):
-        self._blas = blas_threads(max(1, cpu_count() // len(self.threads)))
+        self._blas = blas_threads()
         self.blas_threads = self._blas.__enter__()
         for t in self.threads:
             t.start()
@@ -199,8 +196,9 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     vector.  A push's delay is (update index at apply) - (version at pull).
     Workers keep at most one unapplied push outstanding, so a single worker can
     only ever be 0 or 1 versions behind, and each worker's pushes land in the
-    order it drew their samples.  Rebuilding a run on one thread matches the
-    MLP's bits only under the same BLAS thread count (meta "blas_threads").
+    order it drew their samples.  Workers compute at one BLAS thread (meta
+    "blas_threads"), so a rebuild on one thread at one BLAS thread matches the
+    MLP's bits on any host.
     """
     require_mode(cfg, "con-threads")
     gamma = resolve_gamma(cfg, p)
@@ -239,10 +237,8 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
             x = x - gamma * gsum  # fresh array: earlier snapshots stay intact
             published[0] = (k + 1, x)
             slots[w].release()
-        else:
-            rec.snap(cfg.K, x)
-    trace = rec.finish()
-    trace.meta.update(blas_threads=pool.blas_threads, x_final=x)
+    trace = rec.finish(x)
+    trace.meta.update(blas_threads=pool.blas_threads)
     return trace, delay_stats(rec.delays[1:], workers=rec.worker_ids[1:])
 
 
@@ -307,8 +303,7 @@ def run_lockfree_shared(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
             last_seen = done
     if int(applied[0]) != cfg.K:
         raise EngineError(f"applied {int(applied[0])} writes, expected {cfg.K}", rec.trace())
-    rec.snap(cfg.K, x)  # quiescent: exact final iterate
-    trace = rec.finish()
-    trace.meta.update(blas_threads=pool.blas_threads, x_final=x,
+    trace = rec.finish(x)  # quiescent: exact final iterate
+    trace.meta.update(blas_threads=pool.blas_threads,
                       snapshots="rows are copied by the writing worker, unsynchronized, and may be torn")
     return trace, delay_stats(rec.delays[1:], workers=rec.worker_ids[1:])

@@ -22,7 +22,8 @@ fills consecutive per-iteration calls of the block's rows
 per iteration: read masks of the warm-up iterations k < T, whose windows are
 narrower, and the sparse variant's coordinate, whose range is the support of
 the gradient just computed.  Each iteration's delays and read masks are
-checked against its window once; the ring's slots are then read unchecked.
+checked against its window once; con-sim then reads its ring's slots unchecked,
+and the incon simulators read each missed update from their log (below).
 
 Each update's delay goes into the recorder's per-update log (trace meta
 "delays"; "worker_ids" stays 0 on one simulated worker).  The inconsistent-read
@@ -215,8 +216,7 @@ def run_serial_sg(p, cfg: RunConfig) -> Trace:
             if rec.due(k):
                 rec.snap(k, x)
             x = x - gamma * p.batch_gradient_sum(x, xis)
-    rec.snap(cfg.K, x)
-    return rec.finish(delay_cap=0)
+    return rec.finish(x, delay_cap=0)
 
 
 # ------------------------------------------------------------ consistent-read simulator
@@ -255,8 +255,7 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
                 acc += p.batch_gradient_sum(ring[k - taus[a]], xis[a:b])
             x = x - gamma * acc
             ring.append(x)
-    rec.snap(cfg.K, x)
-    return rec.finish(delay_cap=T)
+    return rec.finish(x, delay_cap=T)
 
 
 # ------------------------------------------------------------ inconsistent-read simulators
@@ -283,9 +282,8 @@ def _run_incon(p, cfg: RunConfig, sparse: bool):
     rng_read = derive_stream(cfg.seeds, 0, "read")
 
     x = p.x1
-    ring = HistoryRing(T)  # per-iteration single-coordinate deltas (i_j, delta_j)
     rec = Recorder(p, cfg, gamma)
-    coords, deltas = [0], [0.0]  # coordinate and delta of each update, indexed like rec.delays
+    coords, deltas = [0], [0.0]  # coordinate and delta of update j at entry j, like rec.delays
     skips = 0
     for k0, k1 in _blocks(cfg.K):
         S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, M))
@@ -312,9 +310,8 @@ def _run_incon(p, cfg: RunConfig, sparse: bool):
                     deepest = max(deepest, w - row.index(True))
                     xhat = x.copy()
                     for t in range(w - 1, -1, -1):  # roll back the missed updates, newest first
-                        if row[t]:
-                            i_j, d_j = ring[lo + t]
-                            xhat[i_j] -= d_j
+                        if row[t]:  # iteration lo + t made update lo + t + 1
+                            xhat[coords[lo + t + 1]] -= deltas[lo + t + 1]
                 if sparse:  # the coordinate is drawn from the gradient's support: needs all of it
                     acc += p.batch_gradient_sum(xhat, xis[a:e])
                 else:
@@ -333,12 +330,10 @@ def _run_incon(p, cfg: RunConfig, sparse: bool):
                     i_k = int(support[rng_coord.integers(len(support))])
                     delta = sparse_coordinate_update(acc, gamma, i_k)
                     x[i_k] += delta
-            ring.append((i_k, delta))
             coords.append(i_k)
             deltas.append(delta)
-    rec.snap(cfg.K, x)
-    trace = rec.finish(delay_cap=T)
-    trace.meta.update(sparse_skips=skips, coords=np.array(coords), deltas=np.array(deltas), x_final=x)
+    trace = rec.finish(x, delay_cap=T)
+    trace.meta.update(sparse_skips=skips, coords=np.array(coords), deltas=np.array(deltas))
     return trace
 
 

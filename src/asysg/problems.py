@@ -436,7 +436,7 @@ class SyntheticMlp(Problem):
             return self._loss_and_grad(x, self.X[lo:hi], self.Y[lo:hi])
 
         total, acc = 0.0, np.zeros(self.n)
-        with blas_threads(1), ThreadPoolExecutor(min(cpu_count(), len(chunks))) as pool:
+        with blas_threads(), ThreadPoolExecutor(min(cpu_count(), len(chunks))) as pool:
             for loss, g in pool.map(part, chunks):
                 total += loss
                 acc += g
@@ -519,14 +519,11 @@ def estimate_sigma_sq(p: Problem, x: np.ndarray, sample_budget: int) -> float:
     return total / sample_budget
 
 
-def estimate_lipschitz(
-    p: Problem,
-    s: int | None = None,
-    trials: int = 24,
-    radius: float = 0.1,
-    eval_samples: int = 512,
-    seed: int = 2024,
-) -> float:
+# random pairs probed, their distance from x1 and from each other, samples per gradient, seed
+_LIPSCHITZ_TRIALS, _LIPSCHITZ_RADIUS, _LIPSCHITZ_SAMPLES, _LIPSCHITZ_SEED = 24, 0.1, 512, 2024
+
+
+def estimate_lipschitz(p: Problem, s: int | None = None) -> float:
     """Sampled lower estimate of the gradient Lipschitz constant near x1.
 
     Maximizes |grad(x) - grad(y)| / |x - y| over random pairs around x1; when s is
@@ -534,26 +531,24 @@ def estimate_lipschitz(
     (the support-restricted constant).  Gradients run over a fixed subsample for
     speed, so treat the result as an estimate, never a guarantee.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = derive_stream(SeedSpec(seed), 0, "lipschitz-probe")
+    rng = derive_stream(SeedSpec(_LIPSCHITZ_SEED), 0, "lipschitz-probe")
     x1 = p.x1
-    m = min(eval_samples, p.sample_count)
+    m = min(_LIPSCHITZ_SAMPLES, p.sample_count)
     xis = np.arange(1, m + 1)
 
     def grad(x):
         return p.batch_gradient_sum(x, xis) / m
 
     best = 0.0
-    for _ in range(trials):
-        x = x1 + radius * rng.standard_normal(p.n)
+    for _ in range(_LIPSCHITZ_TRIALS):
+        x = x1 + _LIPSCHITZ_RADIUS * rng.standard_normal(p.n)
         if s is None:
             h = rng.standard_normal(p.n)
         else:
             h = np.zeros(p.n)
             support = rng.choice(p.n, size=min(s, p.n), replace=False)
             h[support] = rng.standard_normal(len(support))
-        h *= radius / float(np.linalg.norm(h))
+        h *= _LIPSCHITZ_RADIUS / float(np.linalg.norm(h))
         num = float(np.linalg.norm(grad(x + h) - grad(x)))
-        best = max(best, num / radius)
+        best = max(best, num / _LIPSCHITZ_RADIUS)
     return best

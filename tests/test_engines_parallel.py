@@ -1,7 +1,6 @@
 """Threaded-engine tests: delay accounting, conservation, rebuilding runs from
 the recorder's per-update log, stress tests for the lock-free write primitive,
 and statistical comparisons against the simulators."""
-import ctypes
 import itertools
 import json
 import os
@@ -10,9 +9,10 @@ import time
 
 import numpy as np
 import pytest
+from test_problems import _openblas_threads
 
 from asysg import engines_parallel, theory
-from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, derive_stream
+from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, blas_threads, derive_stream
 from asysg.engines_parallel import (
     DelayStats,
     delay_stats,
@@ -142,26 +142,30 @@ def test_param_server_cor2_gamma_respects_bound():
 def _small_problem(problem):
     if problem == "quadratic":
         return make_noisy_quadratic(n=8, sigma=1.0, N=8)
+    if problem == "mlp-default":  # default widths: 1 and 2 BLAS threads round M=32 batches differently
+        return make_synthetic_mlp(MlpSpec(sample_count=64), seed=1)
     return make_synthetic_mlp(MlpSpec(widths=(8, 6, 3), sample_count=64), seed=1)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("problem", ["quadratic", "mlp"])
+@pytest.mark.parametrize("problem", ["quadratic", "mlp", "mlp-default"])
 def test_param_server_replay_is_bitexact(problem, workers):
     # the master is the only writer and each worker's pushes land in the order it
     # drew their samples: update j is a pure function of its delay, its worker id
-    # and that worker's next draw, so the recorder's two logs rebuild every iterate
+    # and that worker's next draw, so the recorder's two logs rebuild every iterate.
+    # Workers compute at one BLAS thread on any host, and so does the rebuild
     p = _small_problem(problem)
-    gamma, K, M = 0.05, 200, 2
+    gamma, K, M = (0.001, 200, 32) if problem == "mlp-default" else (0.05, 200, 2)
     trace, stats = run_param_server(p, tcfg("con-threads", K=K, M=M, gamma=gamma,
                                             workers=workers, every=1))
     delays, ids = trace.meta["delays"], trace.meta["worker_ids"]
     assert len(delays) == len(ids) == K + 1
     streams = [derive_stream(SeedSpec(0), w, "sample") for w in range(workers)]
     xs = [p.x1]
-    for k in range(K):
-        xis = streams[ids[k + 1]].integers(1, p.sample_count + 1, size=M)
-        xs.append(xs[k] - gamma * p.batch_gradient_sum(xs[k - delays[k + 1]], xis))
+    with blas_threads():
+        for k in range(K):
+            xis = streams[ids[k + 1]].integers(1, p.sample_count + 1, size=M)
+            xs.append(xs[k] - gamma * p.batch_gradient_sum(xs[k - delays[k + 1]], xis))
     assert xs[K].tobytes() == trace.meta["x_final"].tobytes()  # bytes: a -0.0 entry counts
     running = np.maximum.accumulate(delays)
     assert [r.k for r in trace.rows] == list(range(K + 1))
@@ -311,19 +315,10 @@ def test_threaded_engines_surface_a_failure_promptly(monkeypatch, engine, mode, 
     assert time.perf_counter() - start < 2.0
 
 
-def _openblas_threads():
-    """numpy's OpenBLAS thread count, or None where it exports no thread control."""
-    try:
-        fn = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    fn.argtypes, fn.restype = [], ctypes.c_int
-    return fn()
-
-
 @pytest.mark.parametrize("engine,mode", [(run_param_server, "con-threads"),
                                          (run_lockfree_shared, "incon-threads")])
 def test_threaded_engines_cap_blas_then_restore(engine, mode):
+    # one BLAS thread per worker at every worker count, whatever the host's cores
     p = make_noisy_quadratic(n=6, sigma=1.0, N=8)
     seen = {"oracle": set(), "eval": set()}
     for name, phase in [("batch_gradient_sum", "oracle"), ("coordinate_gradient_sum", "oracle"),
@@ -332,11 +327,14 @@ def test_threaded_engines_cap_blas_then_restore(engine, mode):
         setattr(p, name, lambda *a, inner=inner, phase=phase:
                 seen[phase].add(_openblas_threads()) or inner(*a))
     before = _openblas_threads()
-    trace, _ = engine(p, tcfg(mode, K=50, workers=2, every=25))
-    cap = None if before is None else max(1, len(os.sched_getaffinity(0)) // 2)
-    assert trace.meta["blas_threads"] == cap
-    assert seen == {"oracle": {cap}, "eval": {before}}
-    assert _openblas_threads() == before
+    cap = None if before is None else 1
+    for workers in (1, 2):
+        seen["oracle"].clear()
+        seen["eval"].clear()
+        trace, _ = engine(p, tcfg(mode, K=50, workers=workers, every=25))
+        assert trace.meta["blas_threads"] == cap
+        assert seen == {"oracle": {cap}, "eval": {before}}
+        assert _openblas_threads() == before
 
 
 # ------------------------------------------------------------ write-primitive stress
