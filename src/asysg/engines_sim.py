@@ -215,7 +215,9 @@ def run_serial_sg(p, cfg: RunConfig) -> Trace:
         for k, xis in zip(range(k0, k1), S):
             if rec.due(k):
                 rec.snap(k, x)
-            x = x - gamma * p.batch_gradient_sum(x, xis)
+            g = p.batch_gradient_sum(x, xis)  # a new array: ours to change
+            g *= gamma
+            x = x - g
     return rec.finish(x, delay_cap=0)
 
 
@@ -227,7 +229,8 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
     Every gradient is evaluated at a true past iterate held in the history ring;
     drawn delays are clamped to the available history while k < T and must never
     exceed T.  Sample draws consume the same stream as the serial engine, so the
-    all-zero-delay case reproduces it bit for bit.
+    all-zero-delay case reproduces it bit for bit.  The first run's sum is the
+    accumulator, scaled by gamma in place, as the serial engine scales its one sum.
     """
     require_mode(cfg, "con-sim")
     dm, M, T = cfg.delay_model, cfg.M, cfg.T
@@ -250,10 +253,13 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
             if k < T:
                 taus = [min(t, k) for t in taus]  # warm-up clamp
             rec.delays[k + 1] = max(taus)
-            acc = np.zeros(p.n)
-            for a, b in _runs(taus):  # 0 <= tau <= min(k, T): iterate k - tau is in the ring
+            runs = _runs(taus)  # 0 <= tau <= min(k, T): iterate k - tau is in the ring
+            a, b = next(runs)
+            acc = p.batch_gradient_sum(ring[k - taus[a]], xis[a:b])  # a new array: ours to change
+            for a, b in runs:
                 acc += p.batch_gradient_sum(ring[k - taus[a]], xis[a:b])
-            x = x - gamma * acc
+            acc *= gamma
+            x = x - acc
             ring.append(x)
     return rec.finish(x, delay_cap=T)
 
@@ -311,7 +317,8 @@ def _run_incon(p, cfg: RunConfig, sparse: bool):
                     xhat = x.copy()
                     for t in range(w - 1, -1, -1):  # roll back the missed updates, newest first
                         if row[t]:  # iteration lo + t made update lo + t + 1
-                            xhat[coords[lo + t + 1]] -= deltas[lo + t + 1]
+                            c = coords[lo + t + 1]
+                            xhat[c] = xhat.item(c) - deltas[lo + t + 1]  # a float, not a numpy scalar
                 if sparse:  # the coordinate is drawn from the gradient's support: needs all of it
                     acc += p.batch_gradient_sum(xhat, xis[a:e])
                 else:
@@ -320,7 +327,7 @@ def _run_incon(p, cfg: RunConfig, sparse: bool):
 
             if not sparse:
                 delta = -(gamma * acc)
-                x[i_k] += delta
+                x[i_k] = x.item(i_k) + delta
             else:
                 support = np.flatnonzero(acc)
                 if len(support) == 0:  # zero aggregate gradient: skip, x untouched
@@ -329,7 +336,7 @@ def _run_incon(p, cfg: RunConfig, sparse: bool):
                 else:
                     i_k = int(support[rng_coord.integers(len(support))])
                     delta = sparse_coordinate_update(acc, gamma, i_k)
-                    x[i_k] += delta
+                    x[i_k] = x.item(i_k) + delta
             coords.append(i_k)
             deltas.append(delta)
     trace = rec.finish(x, delay_cap=T)

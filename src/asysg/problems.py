@@ -2,11 +2,14 @@
 
 Every problem is a finite sum f(x) = (1/N) sum_xi F(x; xi) over samples xi in {1..N},
 with G(x; xi) the exact per-sample gradient, so the finite-population mean of G is
-the full gradient.  Oracles are pure and safe to call from any thread.
+the full gradient.  An oracle's result depends on its arguments alone, and the
+oracles are safe to call from any thread.  The noisy quadratic keeps a bounded
+cache of grad f per read point, which changes no bit of any result.
 """
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -65,7 +68,8 @@ class Problem:
         raise NotImplementedError
 
     def batch_gradient_sum(self, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
-        """Sum of G(x; xi) over the given samples, accumulated left to right."""
+        """Sum of G(x; xi) over the given samples, accumulated left to right, as a new
+        array that the caller may change in place."""
         raise NotImplementedError
 
     def objective(self, x: np.ndarray) -> float:
@@ -121,9 +125,19 @@ class NoisyQuadratic(Problem):
     The z_xi come in plus/minus pairs of signed coordinate vectors with |z| = sigma,
     so the population mean of G is the gradient exactly (pairs cancel bitwise) and
     the per-sample squared deviation is exactly sigma^2.
+
+    batch_gradient_sum takes grad f = Q(x - x*) once per distinct read point: it
+    keeps the gradients of the last _READ_POINTS_KEPT points, keyed on their
+    bytes, and adds each sample's noise to them in place.  The consistent-read
+    simulator reads each stale iterate several times, and so calls it on the
+    same point again and again.  coordinate_gradient_sum keeps nothing.  Both
+    form Q(x - x*) themselves, not through full_gradient, so a caller that counts
+    the public evaluations (the benchmark's spans) sees only those, and both
+    skip the subtraction when x* is the origin.
     """
 
     name = "noisy_quadratic"
+    _READ_POINTS_KEPT = 16  # con-sim reads among the last T+1 iterates: every repeat up to T = 7
 
     def __init__(self, Q: np.ndarray, x_star: np.ndarray, sigma: float, N: int, x1: np.ndarray):
         Q = np.asarray(Q, dtype=float)
@@ -144,6 +158,10 @@ class NoisyQuadratic(Problem):
         self.sigma = float(sigma)
         self.sample_count = int(N)
         self._x1 = self._check_x(x1).copy()
+        self._read_points: dict[bytes, np.ndarray] = {}  # oldest first
+        self._read_points_lock = threading.Lock()
+        # x - x* is x itself, bit for bit, when every entry of x* is +0.0
+        self._x_star_is_origin = self.x_star.tobytes() == bytes(self.x_star.nbytes)
 
         eigs = np.linalg.eigvalsh(Q)
         if eigs[0] < -1e-10 * max(1.0, abs(float(eigs[-1]))):
@@ -155,19 +173,28 @@ class NoisyQuadratic(Problem):
         # Q is PSD so min f = 0 at x*; the gap from x1 is exact
         self.gap = self.value_and_gradient_at_x1()[0]
 
-    def _noise_entry(self, xi: int) -> tuple[int, float]:
-        """The one entry of sample xi's noise that may be nonzero, as (coordinate, value):
-        pair p = (xi-1)//2 gives direction e_{p mod n}, odd xi positive.  With sigma = 0
-        the value is +0.0, the entry of an all-zero vector."""
-        xi = self._check_xi(xi)
-        if self.sigma == 0.0:
-            return 0, 0.0
-        return ((xi - 1) // 2) % self.n, (self.sigma if xi % 2 == 1 else -self.sigma)
+    def _read_point_gradient(self, x: np.ndarray) -> np.ndarray:
+        """g0 = grad f(x) + 0.0, computed once per read point.
 
-    def _gradient(self, x: np.ndarray) -> np.ndarray:
-        # grad f(x) for the sample oracles, which do not call full_gradient, so a
-        # caller counting the public evaluations (the benchmark's spans) sees only those
-        return self.Q @ (self._check_x(x) - self.x_star)
+        The key is x's bytes, so a point written in place, or one that differs
+        only in the sign of a zero, is a new key and never meets another point's
+        gradient; a hit returns the very floats a fresh product would.  The
+        oldest of _READ_POINTS_KEPT points leaves first.  A lookup is one dict
+        read; storing and evicting, which threads sharing the problem could
+        interleave, hold the lock.  g0 never leaves the class: the batch sum
+        copies it or adds it to an array of its own."""
+        x = self._check_x(x)
+        key = x.tobytes()
+        points = self._read_points
+        g0 = points.get(key)
+        if g0 is None:
+            d = x if self._x_star_is_origin else x - self.x_star
+            g0 = self.Q @ d + 0.0  # -0.0 entries become +0.0, as in 0.0 + g
+            with self._read_points_lock:
+                points[key] = g0
+                if len(points) > self._READ_POINTS_KEPT:
+                    del points[next(iter(points))]
+        return g0
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         d = self._check_x(x) - self.x_star
@@ -175,29 +202,45 @@ class NoisyQuadratic(Problem):
         return 0.5 * float(d @ Qd), Qd
 
     def batch_gradient_sum(self, x: np.ndarray, xis: np.ndarray) -> np.ndarray:
-        # grad f(x) once per call; then, per sample and left to right, the same
-        # floats as acc += grad f(x) + z_xi: every entry adds g, except the noise
-        # entry j, which adds g_j + s.  (Adding g_j + 0.0 instead of g_j changes
-        # nothing: acc starts at +0.0, so it never holds -0.0.)
-        g = self._gradient(x)
-        gl = g.tolist()
-        acc = np.zeros(self.n)
+        # the floats of acc = 0.0; acc += grad f(x) + z_xi per sample, left to right.
+        # z_xi is s at entry j: pair (xi-1)//2 moves coordinate pair mod n, by +sigma
+        # for odd xi and 0.0 - sigma for even xi (+0.0, never -0.0, at sigma = 0).
+        # So every entry adds g, except entry j, which adds g_j + s.  The first
+        # sample gives 0.0 + g, which is g0 = g + 0.0, and g_j + s at entry j, as
+        # g_j + s is never -0.0; from then on no entry of acc is -0.0, so adding
+        # g0 in place of g changes no bit either
+        g0 = self._read_point_gradient(x)
+        N, n, plus, minus = self.sample_count, self.n, self.sigma, 0.0 - self.sigma
+        acc = None
         for xi in np.asarray(xis, dtype=int).tolist():
-            j, s = self._noise_entry(xi)
-            a = acc[j]
-            acc += g
-            acc[j] = a + (gl[j] + s)
-        return acc
+            if not 1 <= xi <= N:
+                raise ValueError(f"sample index {xi} outside 1..{N}")
+            j = (xi - 1) // 2 % n
+            s = plus if xi & 1 else minus
+            if acc is None:
+                acc = g0.copy()
+                acc[j] = g0.item(j) + s
+            else:
+                a = acc.item(j)
+                acc += g0
+                acc[j] = a + (g0.item(j) + s)
+        return np.zeros(n) if acc is None else acc
 
     def coordinate_gradient_sum(self, x: np.ndarray, xis: np.ndarray, i: int) -> float:
-        # entry i of batch_gradient_sum on Python floats; g_i is entry i of the
-        # whole Q d, which a row product Q[i] @ d may round differently
+        # entry i of batch_gradient_sum on Python floats, with the same noise rule;
+        # g_i is entry i of the whole Q d, which a row product Q[i] @ d may round
+        # differently.  Its read points are rolled-back copies that do not repeat,
+        # so it skips the read-point cache
         i = self._check_coord(i)
-        gi = float(self._gradient(x)[i])
+        x = self._check_x(x)
+        gi = (self.Q @ (x if self._x_star_is_origin else x - self.x_star)).item(i)
+        N, n, plus, minus = self.sample_count, self.n, self.sigma, 0.0 - self.sigma
         acc = 0.0
         for xi in np.asarray(xis, dtype=int).tolist():
-            j, s = self._noise_entry(xi)
-            acc += gi + (s if j == i else 0.0)
+            if not 1 <= xi <= N:
+                raise ValueError(f"sample index {xi} outside 1..{N}")
+            s = (plus if xi & 1 else minus) if (xi - 1) // 2 % n == i else 0.0
+            acc += gi + s
         return acc
 
     def l_s(self, s: int) -> float:

@@ -488,6 +488,66 @@ def test_block_length_leaves_runs_unchanged(case, monkeypatch):
         assert b_logs == logs
 
 
+# ------------------------------------------------------------ quadratic oracles, engine level
+
+class _TextbookQuadratic(NoisyQuadratic):
+    """The quadratic's oracles as defined, sample by sample: G(x; xi) = Q(x - x*) + z_xi,
+    summed left to right from a zero vector; the coordinate oracle reads its entry
+    off that vector.  No gradient is shared between samples or calls."""
+
+    def batch_gradient_sum(self, x, xis):
+        x = self._check_x(x)
+        acc = np.zeros(self.n)
+        for xi in np.asarray(xis, dtype=int).tolist():
+            xi = self._check_xi(xi)
+            z = np.zeros(self.n)
+            if self.sigma:
+                z[((xi - 1) // 2) % self.n] = self.sigma if xi % 2 else -self.sigma
+            acc += self.Q @ (x - self.x_star) + z
+        return acc
+
+    def coordinate_gradient_sum(self, x, xis, i):
+        return float(self.batch_gradient_sum(x, xis)[self._check_coord(i)])
+
+
+_PIN_CASES = {
+    "serial": ("serial", {}),
+    "con-uniform": ("con-sim", {"dm": DelayModel.uniform()}),
+    "con-cyclic": ("con-sim", {"dm": DelayModel.cyclic()}),
+    "con-fixed": ("con-sim", {"dm": DelayModel.fixed(4)}),
+    "incon-prefix": ("incon-sim", {"rm": ReadModel.prefix(4)}),
+    "incon-random-subset": ("incon-sim", {"rm": ReadModel.random_subset(0.5)}),
+    "incon-sparse": ("incon-sparse-sim", {"rm": ReadModel.random_subset(0.5)}),
+}
+
+
+@pytest.mark.parametrize("case", list(_PIN_CASES))
+def test_quadratic_runs_are_the_textbook_oracles_runs_bitwise(case):
+    """Every simulator on a dense Q with x* off the origin, at T=4, M=4: the shipped
+    oracles (gradient once per read point, noise added in place) give the runs of
+    the textbook ones bit for bit, and so does a second run on the warm cache."""
+    mode, models = _PIN_CASES[case]
+    rng = np.random.default_rng(37)
+    A = rng.standard_normal((6, 6))
+    x_star = rng.standard_normal(6)
+    x_star[2] = -0.0
+    args = (A @ A.T / 6 + 0.1 * np.eye(6), x_star, 1.0, 16, x_star + rng.standard_normal(6))
+    cfg = cfg_for(mode, K=120, M=4, gamma=0.005 if mode == "incon-sparse-sim" else 0.02,
+                  T=0 if mode == "serial" else 4, seed=41, **models)
+    fast = NoisyQuadratic(*args)
+
+    def run(p):
+        tr = _ENGINE_OF[mode](p, cfg)
+        logs = {key: tr.meta[key].tobytes() for key in ("x_final", "delays", "coords", "deltas")
+                if key in tr.meta}
+        return tr.rows_excluding_time(), logs
+
+    want = run(_TextbookQuadratic(*args))
+    assert len(want[0]) == 121
+    assert run(fast) == want
+    assert run(fast) == want
+
+
 # ------------------------------------------------------------ gamma resolution
 
 def test_resolve_gamma_constant_and_corollary2():

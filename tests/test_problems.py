@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -138,25 +140,84 @@ def _signed_points(p, rng, count):
     yield -0.0 * np.ones(p.n)
 
 
+def _assert_oracles_are_the_per_sample_loop(p, x, batches):
+    for xis in batches:
+        loop = np.zeros(p.n)
+        for xi in xis:  # the definition: left to right over the samples
+            g = p.Q @ (x - p.x_star) + _pair_noise(p, int(xi))
+            assert p.stochastic_gradient(x, int(xi)).tobytes() == g.tobytes()
+            loop += g
+        got = p.batch_gradient_sum(x, xis)
+        assert np.array_equal(got, loop)
+        assert np.array_equal(np.signbit(got), np.signbit(loop))
+        assert got.tobytes() == loop.tobytes()
+        for i in range(p.n):
+            c = p.coordinate_gradient_sum(x, xis, i)
+            assert c == loop[i] and np.signbit(c) == np.signbit(loop[i])
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1.7])
 def test_quadratic_batch_sum_is_the_per_sample_loop_bitwise(sigma):
+    """Both oracles against the definition, on a diagonal Q with x* = 0 and on a
+    dense Q whose x* holds nonzero and -0.0 entries.  Every point is asked twice,
+    then again after one of its coordinates changes in place, so a read-point
+    cache that served a changed point, or a shortcut that assumed x* = 0, fails."""
     p = NoisyQuadratic(np.diag(np.linspace(0.2, 1.0, 5)), np.zeros(5), sigma, 12, np.ones(5))
     rng = np.random.default_rng(21)
+    A = rng.standard_normal((5, 5))
+    dense = NoisyQuadratic(A @ A.T / 5, np.array([0.7, -0.0, -1.3, 0.0, -0.0]), sigma, 12, np.ones(5))
     batches = [np.arange(1, p.sample_count + 1)[:0], np.array([3, 3, 3, 4]), np.array([1, 12, 1, 2, 12])]
     batches += [rng.integers(1, p.sample_count + 1, size=M) for M in (1, 4, 32)]
-    for x in _signed_points(p, rng, 8):
-        for xis in batches:
-            loop = np.zeros(p.n)
-            for xi in xis:  # the definition: left to right over the samples
-                g = p.Q @ (x - p.x_star) + _pair_noise(p, int(xi))
-                assert p.stochastic_gradient(x, int(xi)).tobytes() == g.tobytes()
-                loop += g
-            got = p.batch_gradient_sum(x, xis)
-            assert np.array_equal(got, loop)
-            assert np.array_equal(np.signbit(got), np.signbit(loop))
-            for i in range(p.n):
-                c = p.coordinate_gradient_sum(x, xis, i)
-                assert c == loop[i] and np.signbit(c) == np.signbit(loop[i])
+    for q in (p, dense):
+        for x in _signed_points(q, rng, 8):
+            for _ in range(2):
+                _assert_oracles_are_the_per_sample_loop(q, x, batches)
+            x[rng.integers(q.n)] += 0.5  # the same array, other bytes
+            _assert_oracles_are_the_per_sample_loop(q, x, batches)
+
+
+def test_quadratic_oracles_agree_across_threads():
+    """Four threads share one problem, and so its read-point cache, on more points
+    than the cache keeps: some shared, some a thread's own array set equal to a
+    shared point and then changed in place.  Every answer must be the bytes one
+    thread gets from a fresh problem, and no call may raise."""
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((6, 6))
+    args = (A @ A.T / 6, rng.standard_normal(6), 1.3, 16, np.ones(6))
+    p = NoisyQuadratic(*args)
+    shared = [rng.standard_normal(6) for _ in range(3 * NoisyQuadratic._READ_POINTS_KEPT)]
+    batches = [rng.integers(1, 17, size=M) for M in (1, 3, 4)]
+
+    def work(seed):
+        r = np.random.default_rng(seed)
+        own = np.empty(6)
+        calls = []
+        for step in range(6000):
+            if step % 3 == 0:
+                x = shared[r.integers(len(shared))]
+            elif step % 3 == 1:
+                x = own
+                x[:] = shared[r.integers(len(shared))]  # a repeat, through another array
+            else:
+                x = own
+                x[r.integers(6)] += 0.25  # changed in place since the last call
+            xis, i = batches[r.integers(len(batches))], int(r.integers(6))
+            calls.append((x.copy(), xis, i, p.batch_gradient_sum(x, xis).tobytes(),
+                          p.coordinate_gradient_sum(x, xis, i)))
+        return calls
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over often, inside the oracles too
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(work, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    ref = NoisyQuadratic(*args)
+    for calls in results:
+        for x, xis, i, batch, coord in calls:
+            assert ref.batch_gradient_sum(x, xis).tobytes() == batch
+            assert ref.coordinate_gradient_sum(x, xis, i).hex() == coord.hex()
 
 
 def test_quadratic_oracles_reject_bad_indices():
