@@ -37,6 +37,7 @@ import inspect
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -48,7 +49,6 @@ from .core import (
     RunConfig,
     SeedSpec,
     Trace,
-    TraceRow,
 )
 from .engines_parallel import run_lockfree_shared, run_param_server
 from .engines_sim import (
@@ -184,7 +184,8 @@ def _build(ctor, kwargs: dict, path: str):
     """Call a constructor with the fields given; its ValueError becomes a ConfigError.
 
     Required keys are the constructor's parameters without a default.  A
-    message that starts with a parameter name is filed under that field.
+    message whose first word (up to a space, ".", ":" or "=") names a parameter
+    or a given key is filed under that field.
     """
     params = inspect.signature(ctor).parameters
     for name, param in params.items():
@@ -193,7 +194,8 @@ def _build(ctor, kwargs: dict, path: str):
     try:
         return ctor(**kwargs)
     except ValueError as e:
-        raise ConfigError(f"{path}.{e}" if str(e).split(" ")[0] in params else f"{path}: {e}") from None
+        named = re.match(r"\w*", str(e)).group() in params.keys() | kwargs.keys()
+        raise ConfigError(f"{path}.{e}" if named else f"{path}: {e}") from None
 
 
 def parse_config(doc: dict):
@@ -260,24 +262,16 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
 
 # ------------------------------------------------------------ run dispatch
 
-def _run_one(problem, cfg: RunConfig):
-    """Returns (trace, delay stats or None)."""
-    if cfg.mode == "serial":
-        return run_serial_sg(problem, cfg), None
-    if cfg.mode == "con-sim":
-        return run_asysg_con_sim(problem, cfg), None
-    if cfg.mode == "incon-sim":
-        return run_asysg_incon_sim(problem, cfg), None
-    if cfg.mode == "incon-sparse-sim":
-        return run_asysg_incon_sparse_sim(problem, cfg), None
-    if cfg.mode == "con-threads":
-        return run_param_server(problem, cfg)
-    return run_lockfree_shared(problem, cfg)
-
-
-def _zero_times(trace: Trace) -> Trace:
-    rows = [dataclasses.replace(r, t=0.0) for r in trace.rows]
-    return Trace(rows, meta=trace.meta)
+# the engine of each mode; the simulators return a trace, the threaded engines
+# (trace, delay stats)
+ENGINES = {
+    "serial": run_serial_sg,
+    "con-sim": run_asysg_con_sim,
+    "incon-sim": run_asysg_incon_sim,
+    "incon-sparse-sim": run_asysg_incon_sparse_sim,
+    "con-threads": run_param_server,
+    "incon-threads": run_lockfree_shared,
+}
 
 
 def cmd_run(args) -> int:
@@ -311,9 +305,10 @@ def cmd_run(args) -> int:
                 # EngineError; its "error:" line, not numpy's warnings, reports it
                 warnings.filterwarnings("ignore", r"(overflow|invalid value|divide by zero) encountered",
                                         RuntimeWarning)
-                trace, stats = _run_one(problem, cfg_r)
-            if cfg.mode in SIM_MODES:
-                trace = _zero_times(trace)
+                out = ENGINES[cfg.mode](problem, cfg_r)
+            if cfg.mode in SIM_MODES:  # t=0 in every row keeps reruns bit-identical
+                out = Trace([dataclasses.replace(row, t=0.0) for row in out.rows], out.meta), None
+            trace, stats = out
             path = f"{stem}.r{r}.csv"
             write_trace_csv(trace, path)
             print(path)

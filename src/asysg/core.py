@@ -1,5 +1,7 @@
 """Shared domain types, deterministic stream derivation, the bounded history buffer,
-the run recorder, and the process's CPU and BLAS thread controls.
+the run recorder, and the process's CPU and BLAS thread controls.  The recorder
+does every engine's run bookkeeping (step size, delay cap, rows, per-update log
+and its delay summary), so an engine keeps only its update rule.
 
 Parameter vectors are plain 1-D float64 numpy arrays throughout the package.
 Coordinate indices are 0-based; sample indices xi are 1-based (xi in {1..N}).
@@ -16,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from . import theory
 
 MODES = ("serial", "con-sim", "incon-sim", "incon-sparse-sim", "con-threads", "incon-threads")
 SIM_MODES = ("serial", "con-sim", "incon-sim", "incon-sparse-sim")
@@ -117,6 +121,18 @@ class GammaRule:
     @classmethod
     def corollary4(cls) -> "GammaRule":
         return cls("corollary4")
+
+
+def resolve_gamma(cfg: "RunConfig", p) -> float:
+    """Turn the configured steplength rule into the constant used by the run."""
+    rule: GammaRule = cfg.gamma
+    if rule.kind == "constant":
+        return float(rule.value)
+    if rule.kind == "corollary2":
+        return theory.steplength_corollary2(p.gap, cfg.M, p.L, cfg.K, p.sigma_sq)
+    # corollary4; the support-restricted constant degenerates at T=0, use size-1 supports
+    L_T = p.l_s(max(cfg.T, 1))
+    return theory.steplength_corollary4(p.gap, p.n, cfg.K, L_T, cfg.M, math.sqrt(p.sigma_sq))
 
 
 class HistoryRing:
@@ -279,37 +295,94 @@ class EngineError(RuntimeError):
         self.trace = trace
 
 
+@dataclass(frozen=True)
+class DelayStats:
+    """Observed staleness of applied contributions: max, histogram, per-worker means."""
+
+    max_observed: int
+    histogram: dict[int, int] = field(default_factory=dict)
+    per_worker_mean: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def total(self) -> int:
+        return sum(self.histogram.values())
+
+    def mean(self) -> float:
+        if not self.histogram:
+            return 0.0
+        return sum(d * c for d, c in self.histogram.items()) / self.total
+
+    def to_dict(self) -> dict:
+        return {
+            "max_observed": self.max_observed,
+            "mean": self.mean(),
+            "total": self.total,
+            "histogram": {str(d): c for d, c in sorted(self.histogram.items())},
+            "per_worker_mean": {str(w): m for w, m in sorted(self.per_worker_mean.items())},
+        }
+
+
+def delay_stats(delays, workers=None) -> DelayStats:
+    """Build DelayStats from one delay per applied update.
+
+    `workers` optionally gives the contributing worker id of each update,
+    enabling the per-worker means.  A negative delay, an update applied before
+    the version it read, rejects the whole log.
+    """
+    d = np.asarray(delays, dtype=np.int64)
+    if workers is not None and len(workers) != len(d):
+        raise ValueError(f"{len(d)} delays but {len(workers)} worker ids")
+    if (d < 0).any():
+        raise ValueError(f"corrupt delay log: negative delay {int(d.min())}")
+    counts = np.bincount(d)
+    per_worker: dict[int, float] = {}
+    if workers is not None:
+        ids = np.asarray(workers, dtype=np.int64)
+        n, total = np.bincount(ids), np.bincount(ids, weights=d)
+        per_worker = {int(w): float(total[w] / n[w]) for w in np.flatnonzero(n)}
+    return DelayStats(
+        max_observed=max(len(counts) - 1, 0),
+        histogram={int(v): int(counts[v]) for v in np.flatnonzero(counts)},
+        per_worker_mean=per_worker,
+    )
+
+
 class Recorder:
     """The run recorder of every engine: snapshots during the run, evaluation afterwards.
 
-    While the run is timed, `snap` only stamps (k, t, a copy of x), so the t
-    column measures optimisation alone.  Each engine also keeps one per-update
-    log here: entry j of `delays` is the delay of its j-th applied update and
-    entry j of `worker_ids` the worker that applied it (entry 0 of both stays
-    0; an engine without staleness writes no delay, a simulator no worker id).
-    Both are trace meta "delays" and "worker_ids".  `finish(x)` stamps row K
-    from the final iterate, keeps that row's copy as trace meta "x_final",
-    evaluates each snapshot through one `value_and_gradient` call, in k order,
-    and returns the validated trace; row k reports max(delays[:k+1]).  A k = 0
-    snapshot whose bytes equal x1 reads the problem's cached
-    `value_and_gradient_at_x1` instead, so the start point is evaluated once
-    per problem, however many runs it serves.  Every snapshot is kept until
-    then: peak memory grows by rows x n x 8 bytes, plus (K+1) x 16 for the
-    per-update log.  A non-finite iterate, objective or gradient norm raises
-    EngineError carrying the rows evaluated before it.
+    Before the clock starts it resolves `gamma` and takes `delay_cap`: T in the
+    simulator modes, none in the threaded modes, which do not yet bound
+    staleness.  While the run is timed, `snap` only stamps (k, t, a copy of
+    x), so the t column measures optimisation alone.  Each engine also keeps
+    one per-update log here: entry j of `delays` is the delay of its j-th
+    applied update and entry j of `worker_ids` the worker that applied it
+    (entry 0 of both stays 0; an engine without staleness writes no delay, a
+    simulator no worker id).  Both are trace meta "delays" and "worker_ids";
+    `delay_stats()` summarises them.  `finish(x, **meta)` stamps row K from
+    the final iterate, keeps that row's copy as trace meta "x_final", adds the
+    engine's own keys, evaluates each snapshot through one
+    `value_and_gradient` call, in k order, and returns the trace validated
+    against the cap; row k reports max(delays[:k+1]).  A k = 0 snapshot whose
+    bytes equal x1 reads the problem's cached `value_and_gradient_at_x1`
+    instead, so the start point is evaluated once per problem, however many
+    runs it serves.  Every snapshot is kept until then: peak memory grows by
+    rows x n x 8 bytes, plus (K+1) x 16 for the per-update log.  A non-finite
+    iterate, objective or gradient norm raises EngineError carrying the rows
+    evaluated before it.
     """
 
-    def __init__(self, p, cfg: RunConfig, gamma: float):
+    def __init__(self, p, cfg: RunConfig):
         self.p = p
+        self.gamma = resolve_gamma(cfg, p)
+        self.delay_cap = cfg.T if cfg.mode in SIM_MODES else None
         self.delays = np.zeros(cfg.K + 1, dtype=np.int64)
         self.worker_ids = np.zeros(cfg.K + 1, dtype=np.int64)
         self.every = cfg.checkpoint_every
-        self.gamma = gamma
         self.meta = {
             "mode": cfg.mode,
             "problem": p.name,
             "seed": cfg.seeds.master_seed,
-            "gamma": gamma,
+            "gamma": self.gamma,
             "workers": cfg.workers,
             "config_fingerprint": f"{p.name}|{cfg.fingerprint()}",
             "delays": self.delays,
@@ -345,10 +418,15 @@ class Recorder:
                                  max_delay_observed=int(running[k])))
         return Trace(rows, self.meta)
 
-    def finish(self, x: np.ndarray, delay_cap: int | None = None) -> Trace:
-        """Stamp row K from the final iterate `x`, then evaluate and validate every row."""
+    def finish(self, x: np.ndarray, **meta) -> Trace:
+        """Stamp row K from the final iterate `x`, add the engine's meta keys, then
+        evaluate every row and validate the trace against the delay cap."""
         self.snap(len(self.delays) - 1, x)
-        self.meta["x_final"] = self._snaps[-1][2]
+        self.meta.update(x_final=self._snaps[-1][2], **meta)
         trace = self.trace()
-        trace.validate(delay_cap=delay_cap)
+        trace.validate(delay_cap=self.delay_cap)
         return trace
+
+    def delay_stats(self) -> DelayStats:
+        """The summary of updates 1..K in the per-update log, with their worker ids."""
+        return delay_stats(self.delays[1:], workers=self.worker_ids[1:])

@@ -17,11 +17,13 @@ exactly on the grid {0, c, 2c, ..., K} (c = checkpoint_every): the worker whose
 write is the j*c-th to land copies the vector itself, unsynchronized, so that
 row may be torn as well.
 
-Both engines record through `core.Recorder`: a row is stamped (k, t, copy of
-x) at snapshot time and its f and gradient are evaluated after the run, so the
-t column excludes checkpoint evaluation.  Holding the copies until then costs
-rows x n x 8 bytes of peak memory (about 1 MB for the 46,380-parameter MLP at
-three rows), plus (K+1) x 16 bytes for the recorder's per-update log.
+Both engines keep only their update rules and leave the run's bookkeeping to
+`core.Recorder`: it resolves gamma, sets no delay cap (staleness is not yet
+bounded here), stamps a row (k, t, copy of x) at snapshot time and evaluates
+its f and gradient after the run, so the t column excludes checkpoint
+evaluation.  Holding the copies until then costs rows x n x 8 bytes of peak
+memory (about 1 MB for the 46,380-parameter MLP at three rows), plus (K+1) x
+16 bytes for the recorder's per-update log.
 
 Both engines run their workers inside one `_WorkerPool`.  While workers run,
 it holds numpy's bundled OpenBLAS at one thread (`core.blas_threads`), whatever
@@ -40,12 +42,13 @@ write landing.
 Delay accounting: one delay per applied update, stored in `Recorder.delays`
 at the update's ordinal j (1..K), with the contributing worker's id at index j
 of `Recorder.worker_ids` (trace meta "delays" and "worker_ids"); row k reports
-the running max up to j = k, and `delay_stats` reads both arrays after the
-run.  In con-threads the delay of update k+1 is k minus the master version
-its push was computed at.  In incon-threads it is the number of other writes
-that landed between the worker's read (the applied-write count just before
-its copy) and its own write: delay is labelled after the read, the
-perturbed-iterate convention (Mania et al., arXiv 1507.06970).
+the running max up to j = k, and `Recorder.delay_stats()` summarises both
+arrays after the run, as each engine's second return value.  In con-threads
+the delay of update k+1 is k minus the master version its push was computed
+at.  In incon-threads it is the number of other writes that landed between
+the worker's read (the applied-write count just before its copy) and its own
+write: delay is labelled after the read, the perturbed-iterate convention
+(Mania et al., arXiv 1507.06970).
 
 These two arrays are each run's whole schedule.  Every worker draws from its
 own streams, so the j-th update a worker applies used its j-th draws: a
@@ -59,11 +62,11 @@ import itertools
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
+    DelayStats,
     EngineError,
     Recorder,
     RunConfig,
@@ -72,63 +75,8 @@ from .core import (
     derive_stream,
     require_mode,
 )
-from .engines_sim import resolve_gamma
 
 _STALL_LIMIT = 120.0  # seconds: the only timed wait; a window without progress means a hung run
-
-
-# ------------------------------------------------------------ delay statistics
-
-@dataclass(frozen=True)
-class DelayStats:
-    """Observed staleness of applied contributions: max, histogram, per-worker means."""
-
-    max_observed: int
-    histogram: dict[int, int] = field(default_factory=dict)
-    per_worker_mean: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(self.histogram.values())
-
-    def mean(self) -> float:
-        if not self.histogram:
-            return 0.0
-        return sum(d * c for d, c in self.histogram.items()) / self.total
-
-    def to_dict(self) -> dict:
-        return {
-            "max_observed": self.max_observed,
-            "mean": self.mean(),
-            "total": self.total,
-            "histogram": {str(d): c for d, c in sorted(self.histogram.items())},
-            "per_worker_mean": {str(w): m for w, m in sorted(self.per_worker_mean.items())},
-        }
-
-
-def delay_stats(delays, workers=None) -> DelayStats:
-    """Build DelayStats from one delay per applied update.
-
-    `workers` optionally gives the contributing worker id of each update,
-    enabling the per-worker means.  A negative delay, an update applied before
-    the version it read, rejects the whole log.
-    """
-    d = np.asarray(delays, dtype=np.int64)
-    if workers is not None and len(workers) != len(d):
-        raise ValueError(f"{len(d)} delays but {len(workers)} worker ids")
-    if (d < 0).any():
-        raise ValueError(f"corrupt delay log: negative delay {int(d.min())}")
-    counts = np.bincount(d)
-    per_worker: dict[int, float] = {}
-    if workers is not None:
-        ids = np.asarray(workers, dtype=np.int64)
-        n, total = np.bincount(ids), np.bincount(ids, weights=d)
-        per_worker = {int(w): float(total[w] / n[w]) for w in np.flatnonzero(n)}
-    return DelayStats(
-        max_observed=max(len(counts) - 1, 0),
-        histogram={int(v): int(counts[v]) for v in np.flatnonzero(counts)},
-        per_worker_mean=per_worker,
-    )
 
 
 # ------------------------------------------------------------ worker pool
@@ -201,7 +149,6 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     MLP's bits on any host.
     """
     require_mode(cfg, "con-threads")
-    gamma = resolve_gamma(cfg, p)
     x = p.x1
     published = [(0, x.copy())]  # single-slot publish; item load is one bytecode
     pushes: queue.SimpleQueue = queue.SimpleQueue()  # unbounded: a slot admits one queued push per worker
@@ -220,7 +167,8 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
         for slot in slots:
             slot.release()
 
-    rec = Recorder(p, cfg, gamma)
+    rec = Recorder(p, cfg)
+    gamma = rec.gamma
     pool = _WorkerPool(worker, cfg.workers, wake, rec)
     with pool:
         for k in range(cfg.K):
@@ -237,9 +185,7 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
             x = x - gamma * gsum  # fresh array: earlier snapshots stay intact
             published[0] = (k + 1, x)
             slots[w].release()
-    trace = rec.finish(x)
-    trace.meta.update(blas_threads=pool.blas_threads)
-    return trace, delay_stats(rec.delays[1:], workers=rec.worker_ids[1:])
+    return rec.finish(x, blas_threads=pool.blas_threads), rec.delay_stats()
 
 
 # ------------------------------------------------------------ lock-free shared memory
@@ -263,14 +209,14 @@ def run_lockfree_shared(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     require_mode(cfg, "incon-threads")
     if cfg.K >= 2**62:
         raise ValueError("K too large for the shared iteration counter")
-    gamma = resolve_gamma(cfg, p)
     x = p.x1
     claims = itertools.count()          # next() is one atomic fetch-and-add under the GIL
     # (ordinal, perf_counter reading) of each landed write: next() is one C call,
     # so under the GIL rows stamped in ordinal order are stamped in time order too
     landed = zip(itertools.count(1), iter(time.perf_counter, None))
     applied = np.zeros(1, dtype=np.int64)  # count of landed coordinate writes
-    rec = Recorder(p, cfg, gamma)
+    rec = Recorder(p, cfg)
+    gamma = rec.gamma
 
     def worker(w: int):
         rng_s = derive_stream(cfg.seeds, w, "sample")
@@ -303,7 +249,6 @@ def run_lockfree_shared(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
             last_seen = done
     if int(applied[0]) != cfg.K:
         raise EngineError(f"applied {int(applied[0])} writes, expected {cfg.K}", rec.trace())
-    trace = rec.finish(x)  # quiescent: exact final iterate
-    trace.meta.update(blas_threads=pool.blas_threads,
-                      snapshots="rows are copied by the writing worker, unsynchronized, and may be torn")
-    return trace, delay_stats(rec.delays[1:], workers=rec.worker_ids[1:])
+    trace = rec.finish(x, blas_threads=pool.blas_threads,  # quiescent: exact final iterate
+                       snapshots="rows are copied by the writing worker, unsynchronized, and may be torn")
+    return trace, rec.delay_stats()

@@ -25,24 +25,23 @@ the gradient just computed.  Each iteration's delays and read masks are
 checked against its window once; con-sim then reads its ring's slots unchecked,
 and the incon simulators read each missed update from their log (below).
 
-Each update's delay goes into the recorder's per-update log (trace meta
-"delays"; "worker_ids" stays 0 on one simulated worker).  The inconsistent-read
-simulators also record each update's coordinate and signed delta in meta
-"coords" and "deltas", indexed like "delays" (a sparse skip records coordinate
-0 and delta 0.0); with the seed's streams these arrays fix every iterate.
+Each simulator keeps only its update rule; `core.Recorder` resolves gamma,
+caps every delay at T and stores the trace.  Each update's delay goes into the
+recorder's per-update log (trace meta "delays"; "worker_ids" stays 0 on one
+simulated worker).  The inconsistent-read simulators also hand `finish` each
+update's coordinate and signed delta as meta "coords" and "deltas", indexed
+like "delays" (a sparse skip records coordinate 0 and delta 0.0); with the
+seed's streams these arrays fix every iterate.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from . import theory
 from .core import (
     EngineError,
-    GammaRule,
     HistoryRing,
     Recorder,
     RunConfig,
@@ -71,8 +70,9 @@ class DelayModel:
             raise ValueError(f"delay tau must be >= 0, got {self.tau}")
 
     def validate(self, T: int) -> None:
+        """Refuse a tau above the run's bound T; the message names the RunConfig field."""
         if self.kind == "fixed" and self.tau > T:
-            raise ValueError(f"fixed delay tau={self.tau} exceeds bound T={T}")
+            raise ValueError(f"delay_model.tau={self.tau} exceeds bound T={T}")
 
     def describe(self) -> str:
         return f"fixed({self.tau})" if self.kind == "fixed" else self.kind
@@ -124,11 +124,12 @@ class ReadModel:
         if self.tau < 0:
             raise ValueError(f"prefix tau must be >= 0, got {self.tau}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"inclusion probability must be in [0, 1], got {self.p}")
+            raise ValueError(f"p must be a probability in [0, 1], got {self.p}")
 
     def validate(self, T: int) -> None:
+        """Refuse a tau above the run's bound T; the message names the RunConfig field."""
         if self.kind == "prefix" and self.tau > T:
-            raise ValueError(f"prefix tau={self.tau} exceeds bound T={T}")
+            raise ValueError(f"read_model.tau={self.tau} exceeds bound T={T}")
 
     def describe(self) -> str:
         return f"prefix({self.tau})" if self.kind == "prefix" else f"random-subset(p={self.p})"
@@ -164,18 +165,6 @@ class ReadModel:
 
 # ------------------------------------------------------------ shared machinery
 
-def resolve_gamma(cfg: RunConfig, p) -> float:
-    """Turn the configured steplength rule into the constant used by the run."""
-    rule: GammaRule = cfg.gamma
-    if rule.kind == "constant":
-        return float(rule.value)
-    if rule.kind == "corollary2":
-        return theory.steplength_corollary2(p.gap, cfg.M, p.L, cfg.K, p.sigma_sq)
-    # corollary4; the support-restricted constant degenerates at T=0, use size-1 supports
-    L_T = p.l_s(max(cfg.T, 1))
-    return theory.steplength_corollary4(p.gap, p.n, cfg.K, L_T, cfg.M, math.sqrt(p.sigma_sq))
-
-
 DRAW_BLOCK = 1024  # iterations per RNG call: the drawn arrays stay this small whatever K is
 
 
@@ -206,10 +195,10 @@ def _runs(keys: list) -> Iterator[tuple[int, int]]:
 def run_serial_sg(p, cfg: RunConfig) -> Trace:
     """Plain minibatch SG: x <- x - gamma * sum_m G(x; xi_m), checkpointed on cadence."""
     require_mode(cfg, "serial")
-    gamma = resolve_gamma(cfg, p)
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
     x = p.x1
-    rec = Recorder(p, cfg, gamma)
+    rec = Recorder(p, cfg)
+    gamma = rec.gamma
     for k0, k1 in _blocks(cfg.K):
         S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, cfg.M))
         for k, xis in zip(range(k0, k1), S):
@@ -218,7 +207,7 @@ def run_serial_sg(p, cfg: RunConfig) -> Trace:
             g = p.batch_gradient_sum(x, xis)  # a new array: ours to change
             g *= gamma
             x = x - g
-    return rec.finish(x, delay_cap=0)
+    return rec.finish(x)
 
 
 # ------------------------------------------------------------ consistent-read simulator
@@ -234,14 +223,14 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
     """
     require_mode(cfg, "con-sim")
     dm, M, T = cfg.delay_model, cfg.M, cfg.T
-    gamma = resolve_gamma(cfg, p)
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
     rng_delay = derive_stream(cfg.seeds, 0, "delay")
 
     x = p.x1
     ring = HistoryRing(T)
     ring.append(x)
-    rec = Recorder(p, cfg, gamma)
+    rec = Recorder(p, cfg)
+    gamma = rec.gamma
     for k0, k1 in _blocks(cfg.K):
         S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, M))
         D = dm.draw_block(rng_delay, k0, k1 - k0, M, T).tolist()
@@ -261,7 +250,7 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
             acc *= gamma
             x = x - acc
             ring.append(x)
-    return rec.finish(x, delay_cap=T)
+    return rec.finish(x)
 
 
 # ------------------------------------------------------------ inconsistent-read simulators
@@ -282,13 +271,13 @@ def _read_masks(rm, rng: np.random.Generator, k0: int, k1: int, M: int, T: int) 
 
 def _run_incon(p, cfg: RunConfig, sparse: bool):
     rm, M, T = cfg.read_model, cfg.M, cfg.T
-    gamma = resolve_gamma(cfg, p)
     rng_sample = derive_stream(cfg.seeds, 0, "sample")
     rng_coord = derive_stream(cfg.seeds, 0, "coord")
     rng_read = derive_stream(cfg.seeds, 0, "read")
 
     x = p.x1
-    rec = Recorder(p, cfg, gamma)
+    rec = Recorder(p, cfg)
+    gamma = rec.gamma
     coords, deltas = [0], [0.0]  # coordinate and delta of update j at entry j, like rec.delays
     skips = 0
     for k0, k1 in _blocks(cfg.K):
@@ -339,9 +328,7 @@ def _run_incon(p, cfg: RunConfig, sparse: bool):
                     x[i_k] = x.item(i_k) + delta
             coords.append(i_k)
             deltas.append(delta)
-    trace = rec.finish(x, delay_cap=T)
-    trace.meta.update(sparse_skips=skips, coords=np.array(coords), deltas=np.array(deltas))
-    return trace
+    return rec.finish(x, sparse_skips=skips, coords=np.array(coords), deltas=np.array(deltas))
 
 
 def run_asysg_incon_sim(p, cfg: RunConfig) -> Trace:

@@ -272,6 +272,14 @@ def make_noisy_quadratic(
     return NoisyQuadratic(Q, x_star, sigma, N, x1)
 
 
+def _seed_spec(seed: int) -> SeedSpec:
+    """A problem's own seed; a bad one is reported under the `seed` field."""
+    try:
+        return SeedSpec(seed)
+    except ValueError as e:
+        raise ValueError(f"seed: {e}") from None
+
+
 # ------------------------------------------------------------ least squares
 
 class LeastSquares(Problem):
@@ -320,7 +328,7 @@ class LeastSquares(Problem):
 
 def make_least_squares(n: int = 10, N: int = 40, seed: int = 0) -> LeastSquares:
     """Random dense instance with noise in b so the residual at the optimum is nonzero."""
-    rng = derive_stream(SeedSpec(seed), 0, "ls-data")
+    rng = derive_stream(_seed_spec(seed), 0, "ls-data")
     A = rng.standard_normal((N, n))
     x_true = rng.standard_normal(n)
     b = A @ x_true + 0.5 * rng.standard_normal(N)
@@ -383,8 +391,14 @@ class SyntheticMlp(Problem):
         self.widths = spec.widths
         self.n = spec.param_count
         self.sample_count = spec.sample_count
+        # the flat layout: per layer (fan_in, fan_out, start, w_end), its weights at
+        # [start, w_end) and its fan_out biases right after them
+        self._layout, pos = [], 0
+        for fan_in, fan_out in zip(self.widths, self.widths[1:]):
+            self._layout.append((fan_in, fan_out, pos, pos + fan_in * fan_out))
+            pos += fan_in * fan_out + fan_out
 
-        seeds = SeedSpec(self.seed)
+        seeds = _seed_spec(self.seed)
         rng_data = derive_stream(seeds, 0, "mlp-data")
         rng_teacher = derive_stream(seeds, 0, "mlp-teacher")
         rng_noise = derive_stream(seeds, 0, "mlp-noise")
@@ -399,37 +413,21 @@ class SyntheticMlp(Problem):
         self.Y += spec.noise_std * rng_noise.standard_normal(self.Y.shape)
 
         x1 = np.zeros(self.n)
-        for (a, b), (fan_in, fan_out) in zip(self._weight_slices(), self._layer_shapes()):
+        for fan_in, _, a, b in self._layout:
             x1[a:b] = rng_init.standard_normal(b - a) / math.sqrt(fan_in)
         self._x1 = x1
 
     # ---- parameter layout
 
-    def _layer_shapes(self) -> list[tuple[int, int]]:
-        return list(zip(self.widths, self.widths[1:]))
-
     def _chunks(self, size: int) -> list[tuple[int, int]]:
         """(lo, hi) bounds of consecutive sample-row chunks of `size` rows, in order."""
         return [(lo, min(lo + size, self.sample_count)) for lo in range(0, self.sample_count, size)]
 
-    def _weight_slices(self) -> list[tuple[int, int]]:
-        out, pos = [], 0
-        for fan_in, fan_out in self._layer_shapes():
-            out.append((pos, pos + fan_in * fan_out))
-            pos += fan_in * fan_out + fan_out
-        return out
-
     def unpack(self, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Views (W, b) per layer into the flat vector; W is (fan_in, fan_out)."""
         theta = self._check_x(theta)
-        layers, pos = [], 0
-        for fan_in, fan_out in self._layer_shapes():
-            W = theta[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
-            pos += fan_in * fan_out
-            b = theta[pos : pos + fan_out]
-            pos += fan_out
-            layers.append((W, b))
-        return layers
+        return [(theta[a:w_end].reshape(fan_in, fan_out), theta[w_end : w_end + fan_out])
+                for fan_in, fan_out, a, w_end in self._layout]
 
     # ---- network passes
 
@@ -455,7 +453,7 @@ class SyntheticMlp(Problem):
         loss = 0.5 * float(np.sum(D * D))
 
         grad = np.empty(self.n)
-        for li, (a, w_end) in reversed(list(enumerate(self._weight_slices()))):
+        for li, (_, _, a, w_end) in reversed(list(enumerate(self._layout))):
             W, _ = layers[li]
             np.matmul(acts[li].T, D, out=grad[a:w_end].reshape(W.shape))
             np.sum(D, axis=0, out=grad[w_end : w_end + W.shape[1]])
@@ -500,7 +498,7 @@ class SyntheticMlp(Problem):
         rows = self._batch_rows(xis)
         if rows.size == 0:
             return 0.0
-        for li, ((start, w_end), (_, fan_out)) in enumerate(zip(self._weight_slices(), self._layer_shapes())):
+        for li, (_, fan_out, start, w_end) in enumerate(self._layout):
             if i < w_end + fan_out:
                 break
         r, c = divmod(i - start, fan_out) if i < w_end else (None, i - w_end)

@@ -88,24 +88,17 @@ def constants_quadratic(
 
     raw: dict[int, float] = {}
     for s in s_values:
-        if s == n:
-            raw[s] = L
-            continue
         best = 0.0
-        if s == 1:
-            best = math.sqrt(float(np.diag(Q2).max()))
-        else:
-            block = max(1, EIGH_BLOCK_ENTRIES // (s * s))
-            supports = chain.from_iterable(combinations(range(n), s))
-            while True:
-                S = np.fromiter(islice(supports, block * s), dtype=np.intp).reshape(-1, s)
-                if not len(S):
-                    break
-                lam = float(np.linalg.eigvalsh(Q2[S[:, :, None], S[:, None, :]])[:, -1].max())
-                if lam > best:
-                    best = lam
-            best = math.sqrt(max(best, 0.0))
-        raw[s] = best
+        block = max(1, EIGH_BLOCK_ENTRIES // (s * s))
+        supports = chain.from_iterable(combinations(range(n), s))
+        while True:
+            S = np.fromiter(islice(supports, block * s), dtype=np.intp).reshape(-1, s)
+            if not len(S):
+                break
+            lam = float(np.linalg.eigvalsh(Q2[S[:, :, None], S[:, None, :]])[:, -1].max())
+            if lam > best:
+                best = lam
+        raw[s] = math.sqrt(best)
 
     # the true map is nondecreasing in s and pinned inside [L_max, L];
     # enforce both to absorb last-ulp eigensolver jitter

@@ -335,6 +335,7 @@ def test_criterion_9_lockfree_conservation():
     assert sum(stats.histogram.values()) == K
 
 
+@pytest.mark.slow
 def test_criterion_9_hammer_loses_nothing():
     arr = np.zeros(1)
     per_thread, threads = 250_000, 4
@@ -382,6 +383,7 @@ def _value_at(trace, field, k):
     return getattr(row, field)
 
 
+@pytest.mark.slow
 def test_criterion_10_mlp_objective_decreases(mlp_problem):
     p = mlp_problem
     assert p.n == 46_380
@@ -402,6 +404,7 @@ def test_criterion_10_mlp_objective_decreases(mlp_problem):
         assert medians[-1] < medians[0], (workers, medians)
 
 
+@pytest.mark.slow
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,
                     reason="iteration speedup needs at least 4 physical cores; "
                            "a single-CPU host serializes the workers")

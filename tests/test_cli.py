@@ -106,6 +106,26 @@ def test_invalid_value_exits_2_naming_field(tmp_path, capsys, section, key, valu
 
 
 @pytest.mark.parametrize("alg,problem,path", [
+    ({"mode": "incon-sim", "read_model": {"kind": "random-subset", "p": 1.5}}, None,
+     "algorithm.read_model.p"),
+    ({"mode": "incon-sim", "read_model": {"kind": "prefix", "tau": 5}}, None, "algorithm.read_model.tau"),
+    ({"mode": "con-sim", "delay_model": {"kind": "fixed", "tau": 5}}, None, "algorithm.delay_model.tau"),
+    ({}, {"type": "least_squares", "seed": 2**64}, "problem.seed"),
+    ({}, {"type": "mlp", "seed": 2**64}, "problem.seed"),
+    ({}, {"type": "mlp", "widths": [3]}, "problem.widths"),
+])
+def test_constructor_rejection_names_field(tmp_path, capsys, alg, problem, path):
+    """A value the schema admits but a constructor refuses is still filed under its field."""
+    doc = base_doc(tmp_path, T=1)
+    doc["algorithm"].update(alg)
+    doc["problem"] = problem or doc["problem"]
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {re.escape(path)}\b(?![.\w])", err), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alg,problem,path", [
     ({"mode": "con-sim", "delay_model": {"kind": "uniform", "tau": 1}}, None,
      "algorithm.delay_model.tau"),
     ({"mode": "incon-sim", "read_model": {"kind": "prefix", "tau": 1, "p": 0.5}}, None,

@@ -12,13 +12,8 @@ import pytest
 from test_problems import _openblas_threads
 
 from asysg import engines_parallel, theory
-from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, blas_threads, derive_stream
-from asysg.engines_parallel import (
-    DelayStats,
-    delay_stats,
-    run_lockfree_shared,
-    run_param_server,
-)
+from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, blas_threads, delay_stats, derive_stream
+from asysg.engines_parallel import run_lockfree_shared, run_param_server
 from asysg.engines_sim import DelayModel, ReadModel, run_asysg_con_sim, run_asysg_incon_sim
 from asysg.problems import MlpSpec, make_noisy_quadratic, make_synthetic_mlp
 
@@ -339,6 +334,7 @@ def test_threaded_engines_cap_blas_then_restore(engine, mode):
 
 # ------------------------------------------------------------ write-primitive stress
 
+@pytest.mark.slow
 def test_hammer_no_lost_updates():
     # criterion-9 primitive: concurrent indivisible adds on one coordinate
     arr = np.zeros(1)

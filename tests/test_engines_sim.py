@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asysg import engines_sim, theory
-from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, derive_stream
+from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, derive_stream, resolve_gamma
 from asysg.engines_sim import (
     DelayModel,
     ReadModel,
-    resolve_gamma,
     run_asysg_con_sim,
     run_asysg_incon_sim,
     run_asysg_incon_sparse_sim,

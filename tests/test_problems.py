@@ -9,16 +9,10 @@ import numpy as np
 import pytest
 
 from asysg import core, problems
-from asysg.core import MODES, SIM_MODES, GammaRule, RunConfig, SeedSpec, derive_stream
-from asysg.engines_parallel import delay_stats, run_lockfree_shared, run_param_server
-from asysg.engines_sim import (
-    DelayModel,
-    ReadModel,
-    run_asysg_con_sim,
-    run_asysg_incon_sim,
-    run_asysg_incon_sparse_sim,
-    run_serial_sg,
-)
+from asysg.core import MODES, SIM_MODES, GammaRule, RunConfig, SeedSpec, delay_stats, derive_stream
+from asysg.cli import ENGINES
+from asysg.engines_parallel import run_param_server
+from asysg.engines_sim import DelayModel, ReadModel, run_serial_sg
 from asysg.problems import (
     LeastSquares,
     MlpSpec,
@@ -395,7 +389,7 @@ def test_mlp_coordinate_gradient_matches_batch_entry():
     xis = rng.integers(1, p.sample_count + 1, size=32)
     g = p.batch_gradient_sum(x, xis)
     coords = [int(i) for i in rng.integers(0, p.n, size=100)]
-    for (start, w_end), (_, fan_out) in zip(p._weight_slices(), p._layer_shapes()):
+    for _, fan_out, start, w_end in p._layout:
         coords += [start, w_end - 1, w_end, w_end + fan_out - 1]  # first/last weight, bias
     worst = max(abs(p.coordinate_gradient_sum(x, xis, i) - g[i]) for i in coords)
     assert worst <= 1e-12 * np.max(np.abs(g))
@@ -628,14 +622,6 @@ def test_minimal_problem_derives_the_other_oracles():
         p.stochastic_gradient(x, p.sample_count + 1)
 
 
-_ENGINES = {
-    "serial": run_serial_sg,
-    "con-sim": run_asysg_con_sim,
-    "incon-sim": run_asysg_incon_sim,
-    "incon-sparse-sim": run_asysg_incon_sparse_sim,
-    "con-threads": run_param_server,
-    "incon-threads": run_lockfree_shared,
-}
 _MODELS = {"con-sim": {"delay_model": DelayModel.uniform()},
            "incon-sim": {"read_model": ReadModel.prefix(2)},
            "incon-sparse-sim": {"read_model": ReadModel.random_subset(0.5)}}
@@ -647,7 +633,7 @@ def test_minimal_problem_runs_in_every_mode(mode):
     workers = 1 if mode in SIM_MODES else 2
     cfg = RunConfig(mode=mode, K=400, M=2, gamma=GammaRule.constant(0.05), T=2, workers=workers,
                     checkpoint_every=50, seeds=SeedSpec(3), **_MODELS.get(mode, {}))
-    result = _ENGINES[mode](p, cfg)
+    result = ENGINES[mode](p, cfg)
     trace = result if mode in SIM_MODES else result[0]
     trace.validate(delay_cap=cfg.T if mode in SIM_MODES else None)
     assert [r.k for r in trace.rows] == list(range(0, cfg.K + 1, cfg.checkpoint_every))
@@ -665,3 +651,39 @@ def test_minimal_problem_runs_in_every_mode(mode):
         assert result[1] == delay_stats(delays[1:], ids[1:])
     # every engine keeps its final iterate, and row K is evaluated there
     assert trace.rows[-1].f == p.value_and_gradient(trace.meta["x_final"])[0]
+
+
+_META = {"mode", "problem", "seed", "gamma", "workers", "config_fingerprint", "delays", "worker_ids", "x_final"}
+_ENGINE_META = {"incon-sim": {"sparse_skips", "coords", "deltas"},
+                "incon-sparse-sim": {"sparse_skips", "coords", "deltas"},
+                "con-threads": {"blas_threads"},
+                "incon-threads": {"blas_threads", "snapshots"}}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_recorder_owns_step_size_delay_cap_and_meta(mode, monkeypatch):
+    """The recorder, not the engine, resolves gamma, picks the delay cap and
+    writes the trace meta: each mode's meta keys are fixed."""
+    recorders = []
+    finish = core.Recorder.finish
+
+    def spy(rec, x, **meta):
+        recorders.append(rec)
+        return finish(rec, x, **meta)
+
+    monkeypatch.setattr(core.Recorder, "finish", spy)
+    p = _MinimalProblem()
+    cfg = RunConfig(mode=mode, K=200, M=2, gamma=GammaRule.corollary2(), T=2,
+                    workers=1 if mode in SIM_MODES else 2, checkpoint_every=50, seeds=SeedSpec(3),
+                    **_MODELS.get(mode, {}))
+    result = ENGINES[mode](p, cfg)
+    trace = result if mode in SIM_MODES else result[0]
+    assert set(trace.meta) == _META | _ENGINE_META.get(mode, set())
+    gamma = core.resolve_gamma(cfg, p)
+    assert gamma != 0.01  # the rule was resolved, not the RunConfig default
+    assert trace.rows[0].gamma == trace.meta["gamma"] == gamma
+    [rec] = recorders
+    assert rec.gamma == gamma
+    assert rec.delay_cap == (cfg.T if mode in SIM_MODES else None)
+    if mode not in SIM_MODES:
+        assert result[1] == rec.delay_stats()

@@ -123,7 +123,8 @@ def test_constants_equal_per_support_loop_bit_for_bit():
 def test_shipped_quadratic_l_t_equals_per_support_loop():
     p = make_noisy_quadratic()
     assert p.n == 20
-    assert p.l_s(4) == per_support_l_s(p.Q, [4])[4]
+    for s in (1, 4, p.n):  # the ends against the reference's closed forms, sqrt(max diag Q^2) and L
+        assert p.l_s(s) == per_support_l_s(p.Q, [s])[s]
 
 
 def test_constants_blocks_span_supports(monkeypatch):
