@@ -4,7 +4,7 @@ Config layout (all sections except `problem` and `algorithm` optional):
 
     {
       "problem":   {"type": "noisy_quadratic", "n": 20, "kappa": 10, "sigma": 1,
-                    "N": 64, "gap": 1, "seed": 0},
+                    "N": 64, "gap": 1},
       "algorithm": {"mode": "con-sim", "K": 1000, "M": 4,
                     "gamma": {"kind": "constant", "value": 0.05},
                     "T": 2, "workers": 1,
@@ -13,19 +13,20 @@ Config layout (all sections except `problem` and `algorithm` optional):
       "seeds":     {"master_seed": 0, "replicates": 3}
     }
 
-The schema below gives every field's type and bound, and the constructor its
-section feeds; a field left out takes that constructor's default.  Numbers must
-be finite.  `con-sim` requires `delay_model`, `incon-sim` and `incon-sparse-sim`
-require `read_model`, and every other mode refuses both (RunConfig states the
-rule).  `gamma` also accepts a bare number as shorthand for a constant
-steplength.  Unknown keys anywhere are rejected with the offending dotted path.
-Replicate r runs with master seed `master_seed + r` and writes
-`<trace>.r<r>.csv`; the last replicate's seed must fit in 64 bits before any
-runs.  Threaded modes add a `<trace>.r<r>.delays.json` sidecar of the delays
-the run actually observed: they accept `T` but do not yet bound staleness by
-it, so `asysg theory` figures for their configs assume a T the run does not
-enforce.  Simulator modes write t=0 in every row (they have no meaningful wall
-clock), which keeps reruns bit-identical.
+The schema below gives every field's JSON type and the constructor its section
+feeds: types here, bounds in the constructors, whose refusals name the field.  A
+field left out takes that constructor's default.  Numbers must be finite.
+`con-sim` requires `delay_model`, `incon-sim` and `incon-sparse-sim` require
+`read_model`, and every other mode refuses both (RunConfig states the rule).
+`gamma` also accepts a bare number as shorthand for a constant steplength.
+Unknown keys anywhere are rejected with the offending dotted path.  Replicate
+r runs with master seed `master_seed + r` and writes `<trace>.r<r>.csv`; the
+last replicate's seed must fit in 64 bits before any runs.  Threaded modes add
+a `<trace>.r<r>.delays.json` sidecar of the delays the run actually observed:
+they accept `T` but do not yet bound staleness by it, so `asysg theory`
+figures for their configs assume a T the run does not enforce.  Simulator
+modes write t=0 in every row (they have no meaningful wall clock), which keeps
+reruns bit-identical.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input.
 """
@@ -42,7 +43,6 @@ import sys
 import warnings
 
 from .core import (
-    MODES,
     SIM_MODES,
     EngineError,
     GammaRule,
@@ -91,57 +91,53 @@ def _make_mlp(**fields):
     return make_synthetic_mlp(MlpSpec(**fields), **seed)
 
 
-# The config schema: every field's type and its minimum (numbers; a tuple is a
-# list of integers) or its choices (strings).  A field of type "kind" or "type"
-# is a kinded section: that key picks one of its kinds, and each kind names the
-# constructor its fields feed.  Defaults and required keys are the
-# constructors' own: a field left out is not passed.
+# The config schema: every field's JSON type (tuple: a list of integers).  A
+# field that maps to a table is a kinded section: its `kind` key (a problem's
+# `type`) picks one of the table's kinds, and each kind names the constructor its
+# fields feed.  Value rules, defaults and required keys are the constructors'
+# own: a field left out is not passed.
 GAMMA = {
-    "constant": (GammaRule.constant, {"value": (float, 0.0)}),
+    "constant": (GammaRule.constant, {"value": float}),
     "corollary2": (GammaRule.corollary2, {}),
     "corollary4": (GammaRule.corollary4, {}),
 }
 DELAY_MODEL = {
-    "fixed": (DelayModel.fixed, {"tau": (int, 0)}),
+    "fixed": (DelayModel.fixed, {"tau": int}),
     "uniform": (DelayModel.uniform, {}),
     "cyclic": (DelayModel.cyclic, {}),
 }
 READ_MODEL = {
-    "prefix": (ReadModel.prefix, {"tau": (int, 0)}),
-    "random-subset": (ReadModel.random_subset, {"p": (float, 0.0)}),
+    "prefix": (ReadModel.prefix, {"tau": int}),
+    "random-subset": (ReadModel.random_subset, {"p": float}),
 }
 PROBLEM = {
     "noisy_quadratic": (make_noisy_quadratic, {
-        "n": (int, 1), "kappa": (float, 1.0), "sigma": (float, 0.0), "N": (int, 2),
-        "gap": (float, 0.0), "seed": (int, 0)}),
-    "least_squares": (make_least_squares, {"n": (int, 1), "N": (int, 1), "seed": (int, 0)}),
-    "mlp": (_make_mlp, {
-        "widths": (tuple, 1), "sample_count": (int, 1), "noise_std": (float, 0.0), "seed": (int, 0)}),
+        "n": int, "kappa": float, "sigma": float, "N": int, "gap": float}),
+    "least_squares": (make_least_squares, {"n": int, "N": int, "seed": int}),
+    "mlp": (_make_mlp, {"widths": tuple, "sample_count": int, "noise_std": float, "seed": int}),
 }
 # feeds RunConfig, together with output.checkpoint_every and seeds.master_seed
 ALGORITHM = {
-    "mode": (str, MODES), "K": (int, 1), "M": (int, 1), "gamma": ("kind", GAMMA), "T": (int, 0),
-    "workers": (int, 1), "delay_model": ("kind", DELAY_MODEL), "read_model": ("kind", READ_MODEL),
+    "mode": str, "K": int, "M": int, "gamma": GAMMA, "T": int,
+    "workers": int, "delay_model": DELAY_MODEL, "read_model": READ_MODEL,
 }
-OUTPUT = {"trace": (str, None), "checkpoint_every": (int, 1)}
-SEEDS = {"master_seed": (int, 0), "replicates": (int, 1)}
+OUTPUT = {"trace": str, "checkpoint_every": int}
+SEEDS = {"master_seed": int, "replicates": int}
 SECTIONS = ("problem", "algorithm", "output", "seeds")
 
 
-def _value(v, kind, bound, path: str):
-    """One field checked against its schema entry; returns the value to pass on."""
-    if kind in ("kind", "type"):
-        return _kinded(v, path, bound, tag=kind)
+def _value(v, kind, path: str):
+    """One field checked against its JSON type; returns the value to pass on."""
+    if isinstance(kind, dict):
+        return _kinded(v, path, kind, tag="kind")
     if kind is str:
         if not isinstance(v, str):
             raise ConfigError(f"{path}: expected a string, got {v!r}")
-        if bound is not None and v not in bound:
-            raise ConfigError(f"{path}: must be one of {', '.join(bound)}, got {v!r}")
         return v
     if kind is tuple:
         if not isinstance(v, list):
             raise ConfigError(f"{path}: expected a list of integers, got {v!r}")
-        return tuple(_value(w, int, bound, f"{path}[{i}]") for i, w in enumerate(v))
+        return tuple(_value(w, int, f"{path}[{i}]") for i, w in enumerate(v))
     # bool is an int subclass; 1e3 from JSON arrives as float; json also reads NaN and Infinity
     if isinstance(v, bool) or not isinstance(v, (int, float)) or (
             isinstance(v, float) and not math.isfinite(v)):
@@ -149,12 +145,9 @@ def _value(v, kind, bound, path: str):
     if kind is int and isinstance(v, float) and not v.is_integer():
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
     try:
-        v = kind(v)
+        return kind(v)
     except OverflowError:
         raise ConfigError(f"{path}: expected a finite number, got an integer too large for a float") from None
-    if v < bound:
-        raise ConfigError(f"{path}: must be >= {bound}, got {v}")
-    return v
 
 
 def _fields(section, path: str, fields: dict) -> dict:
@@ -164,7 +157,7 @@ def _fields(section, path: str, fields: dict) -> dict:
     for key in section:
         if key not in fields:
             raise ConfigError(f"{path}.{key}: unknown key (allowed: {', '.join(fields)})")
-    return {key: _value(v, *fields[key], f"{path}.{key}") for key, v in section.items()}
+    return {key: _value(v, fields[key], f"{path}.{key}") for key, v in section.items()}
 
 
 def _kinded(section, path: str, kinds: dict, tag: str):
@@ -173,19 +166,22 @@ def _kinded(section, path: str, kinds: dict, tag: str):
         raise ConfigError(f"{path}: expected an object, got {type(section).__name__}")
     if tag not in section:
         raise ConfigError(f"{path}.{tag}: missing required key")
-    kind = _value(section[tag], str, tuple(kinds), f"{path}.{tag}")
+    kind = _value(section[tag], str, f"{path}.{tag}")
+    if kind not in kinds:
+        raise ConfigError(f"{path}.{tag}: must be one of {', '.join(kinds)}, got {kind!r}")
     ctor, fields = kinds[kind]
-    kwargs = _fields(section, path, {tag: (str, None), **fields})
+    kwargs = _fields(section, path, {tag: str, **fields})
     del kwargs[tag]
     return _build(ctor, kwargs, path)
 
 
-def _build(ctor, kwargs: dict, path: str):
+def _build(ctor, kwargs: dict, path: str, homes: dict | None = None):
     """Call a constructor with the fields given; its ValueError becomes a ConfigError.
 
     Required keys are the constructor's parameters without a default.  A
     message whose first word (up to a space, ".", ":" or "=") names a parameter
-    or a given key is filed under that field.
+    or a given key is filed under that field, in section `path` or in the
+    section `homes` names for a field that comes from elsewhere.
     """
     params = inspect.signature(ctor).parameters
     for name, param in params.items():
@@ -194,8 +190,10 @@ def _build(ctor, kwargs: dict, path: str):
     try:
         return ctor(**kwargs)
     except ValueError as e:
-        named = re.match(r"\w*", str(e)).group() in params.keys() | kwargs.keys()
-        raise ConfigError(f"{path}.{e}" if named else f"{path}: {e}") from None
+        word = re.match(r"\w*", str(e)).group()
+        if word in params.keys() | kwargs.keys():
+            raise ConfigError(f"{(homes or {}).get(word, path)}.{e}") from None
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def parse_config(doc: dict):
@@ -213,13 +211,16 @@ def parse_config(doc: dict):
     run = _fields(doc["algorithm"], "algorithm", ALGORITHM)
     out = _fields(doc.get("output", {}), "output", OUTPUT)
     seeds = _fields(doc.get("seeds", {}), "seeds", SEEDS)
+    replicates = seeds.get("replicates", 1)
+    if replicates < 1:  # the one rule without a constructor
+        raise ConfigError(f"seeds.replicates must be >= 1, got {replicates}")
     if "checkpoint_every" in out:
         run["checkpoint_every"] = out["checkpoint_every"]
     if "master_seed" in seeds:
         run["seeds"] = _build(SeedSpec, {"master_seed": seeds["master_seed"]}, "seeds")
-    cfg = _build(RunConfig, run, "algorithm")
+    cfg = _build(RunConfig, run, "algorithm", homes={"checkpoint_every": "output"})
     stem = out.get("trace", "trace")
-    return problem, cfg, stem[:-4] if stem.endswith(".csv") else stem, seeds.get("replicates", 1)
+    return problem, cfg, stem[:-4] if stem.endswith(".csv") else stem, replicates
 
 
 # ------------------------------------------------------------ config file + overrides
@@ -344,7 +345,7 @@ def cmd_theory(args) -> int:
             sigma_sq=problem.sigma_sq,
             T=cfg.T,
             n=problem.n,
-            L_T=problem.l_s(max(cfg.T, 1)),
+            L_T=problem.l_s(cfg.T),
             L_max=problem.L_max,
             constants_estimated=problem.constants_estimated,
         )

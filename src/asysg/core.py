@@ -106,7 +106,7 @@ class GammaRule:
             if self.value is None:
                 raise ValueError("constant gamma rule requires a value")
             if not math.isfinite(self.value) or self.value < 0:
-                raise ValueError(f"constant gamma must be finite and >= 0, got {self.value}")
+                raise ValueError(f"value must be finite and >= 0, got {self.value}")
         elif self.value is not None:
             raise ValueError(f"gamma rule {self.kind!r} takes no value")
 
@@ -130,9 +130,8 @@ def resolve_gamma(cfg: "RunConfig", p) -> float:
         return float(rule.value)
     if rule.kind == "corollary2":
         return theory.steplength_corollary2(p.gap, cfg.M, p.L, cfg.K, p.sigma_sq)
-    # corollary4; the support-restricted constant degenerates at T=0, use size-1 supports
-    L_T = p.l_s(max(cfg.T, 1))
-    return theory.steplength_corollary4(p.gap, p.n, cfg.K, L_T, cfg.M, math.sqrt(p.sigma_sq))
+    # corollary4; l_s takes size-1 supports at T=0, where L_T would degenerate
+    return theory.steplength_corollary4(p.gap, p.n, cfg.K, p.l_s(cfg.T), cfg.M, math.sqrt(p.sigma_sq))
 
 
 class HistoryRing:
@@ -195,7 +194,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.M < 1:

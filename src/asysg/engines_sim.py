@@ -67,7 +67,7 @@ class DelayModel:
         if self.kind not in self.KINDS:
             raise ValueError(f"delay model kind must be one of {self.KINDS}, got {self.kind!r}")
         if self.tau < 0:
-            raise ValueError(f"delay tau must be >= 0, got {self.tau}")
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
 
     def validate(self, T: int) -> None:
         """Refuse a tau above the run's bound T; the message names the RunConfig field."""
@@ -122,7 +122,7 @@ class ReadModel:
         if self.kind not in self.KINDS:
             raise ValueError(f"read model kind must be one of {self.KINDS}, got {self.kind!r}")
         if self.tau < 0:
-            raise ValueError(f"prefix tau must be >= 0, got {self.tau}")
+            raise ValueError(f"tau must be >= 0, got {self.tau}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be a probability in [0, 1], got {self.p}")
 

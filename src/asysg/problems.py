@@ -90,7 +90,8 @@ class Problem:
         return float(self.batch_gradient_sum(x, xis)[i])
 
     def l_s(self, s: int) -> float:
-        """Support-restricted gradient Lipschitz constant for supports of size max(s, 1)."""
+        """Support-restricted gradient Lipschitz constant for supports of size s clamped
+        to [1, n]; callers pass the delay bound T, which may be 0."""
         raise NotImplementedError
 
     def value_and_gradient_at_x1(self) -> tuple[float, np.ndarray]:
@@ -141,15 +142,11 @@ class NoisyQuadratic(Problem):
 
     def __init__(self, Q: np.ndarray, x_star: np.ndarray, sigma: float, N: int, x1: np.ndarray):
         Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError(f"Q must be square, got {Q.shape}")
+        self._constants = constants_quadratic(Q, s_values=[1])  # refuses a non-square or asymmetric Q
         n = Q.shape[0]
-        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(Q).max()))):
-            raise ValueError("Q must be symmetric")
         if N < 2 or N % 2 != 0:
             raise ValueError(f"N must be even and >= 2, got {N}")
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
+        _at_least(0, sigma=sigma)
         self.Q = Q
         self.n = n
         self.x_star = np.asarray(x_star, dtype=float).copy()
@@ -166,7 +163,6 @@ class NoisyQuadratic(Problem):
         eigs = np.linalg.eigvalsh(Q)
         if eigs[0] < -1e-10 * max(1.0, abs(float(eigs[-1]))):
             raise ValueError("Q must be positive semidefinite")
-        self._constants = constants_quadratic(Q, s_values=[1])
         self.L = self._constants.L
         self.L_max = self._constants.L_max
         self.sigma_sq = self.sigma * self.sigma
@@ -259,17 +255,24 @@ def make_noisy_quadratic(
     """Diagonal test instance: eigenvalues linspace(L/kappa, 1), x1 scaled for the wanted gap.
 
     x1 points along the largest-eigenvalue coordinate so f(x1) equals `gap` exactly
-    up to one multiplication and the constants stay closed-form (L = 1).
+    up to one multiplication and the constants stay closed-form (L = 1).  `seed` is
+    ignored: the instance is fully deterministic, and the config format has no such field.
     """
-    if n < 1 or kappa < 1:
-        raise ValueError("need n >= 1 and kappa >= 1")
+    _at_least(1, n=n, kappa=kappa)
+    _at_least(0, gap=gap)
     diag = np.linspace(1.0 / kappa, 1.0, n)
     Q = np.diag(diag)
     x_star = np.zeros(n)
     x1 = np.zeros(n)
     x1[-1] = math.sqrt(2.0 * gap / diag[-1])
-    del seed  # instance is fully deterministic; kept for signature uniformity
     return NoisyQuadratic(Q, x_star, sigma, N, x1)
+
+
+def _at_least(low: float, **values) -> None:
+    """Refuse a value below `low`, or NaN; the message starts with the parameter's name."""
+    for name, value in values.items():
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _seed_spec(seed: int) -> SeedSpec:
@@ -328,6 +331,7 @@ class LeastSquares(Problem):
 
 def make_least_squares(n: int = 10, N: int = 40, seed: int = 0) -> LeastSquares:
     """Random dense instance with noise in b so the residual at the optimum is nonzero."""
+    _at_least(1, n=n, N=N)
     rng = derive_stream(_seed_spec(seed), 0, "ls-data")
     A = rng.standard_normal((N, n))
     x_true = rng.standard_normal(n)
@@ -356,10 +360,8 @@ class MlpSpec:
     def __post_init__(self) -> None:
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ValueError(f"widths must be >= 2 positive layer sizes, got {self.widths}")
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        _at_least(1, sample_count=self.sample_count)
+        _at_least(0, noise_std=self.noise_std)
 
     @property
     def param_count(self) -> int:

@@ -113,15 +113,46 @@ def test_invalid_value_exits_2_naming_field(tmp_path, capsys, section, key, valu
     ({}, {"type": "least_squares", "seed": 2**64}, "problem.seed"),
     ({}, {"type": "mlp", "seed": 2**64}, "problem.seed"),
     ({}, {"type": "mlp", "widths": [3]}, "problem.widths"),
+    ({"K": 0}, None, "algorithm.K"),
+    ({"M": 0}, None, "algorithm.M"),
+    ({"workers": 0}, None, "algorithm.workers"),
+    ({"mode": "bogus"}, None, "algorithm.mode"),
+    ({"gamma": {"kind": "constant", "value": -1}}, None, "algorithm.gamma.value"),
+    ({"mode": "con-sim", "delay_model": {"kind": "fixed", "tau": -1}}, None, "algorithm.delay_model.tau"),
+    ({"mode": "incon-sim", "read_model": {"kind": "prefix", "tau": -1}}, None, "algorithm.read_model.tau"),
+    ({"mode": "incon-sim", "read_model": {"kind": "random-subset", "p": -0.1}}, None,
+     "algorithm.read_model.p"),
+    ({}, {"type": "noisy_quadratic", "n": 0}, "problem.n"),
+    ({}, {"type": "noisy_quadratic", "kappa": 0.5}, "problem.kappa"),
+    ({}, {"type": "noisy_quadratic", "gap": -1}, "problem.gap"),
+    ({}, {"type": "noisy_quadratic", "sigma": -1}, "problem.sigma"),
+    ({}, {"type": "least_squares", "n": 0}, "problem.n"),
+    ({}, {"type": "least_squares", "N": 0}, "problem.N"),
+    ({}, {"type": "mlp", "widths": [3, 2], "sample_count": 0}, "problem.sample_count"),
+    ({}, {"type": "mlp", "widths": [3, 2], "noise_std": -1}, "problem.noise_std"),
 ])
 def test_constructor_rejection_names_field(tmp_path, capsys, alg, problem, path):
-    """A value the schema admits but a constructor refuses is still filed under its field."""
+    """A value a constructor refuses is filed under its field; the schema holds no bounds."""
     doc = base_doc(tmp_path, T=1)
     doc["algorithm"].update(alg)
     doc["problem"] = problem or doc["problem"]
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert re.match(rf"error: {re.escape(path)}\b(?![.\w])", err), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("output", "checkpoint_every", 0),  # RunConfig's rule, filed under the section it came from
+    ("seeds", "master_seed", -1),
+    ("seeds", "replicates", 0),  # the one rule without a constructor
+])
+def test_output_and_seeds_rules_name_field(tmp_path, capsys, section, key, value):
+    doc = base_doc(tmp_path)
+    doc[section][key] = value
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: {section}\.{key}\b(?![.\w])", err), err
     assert not (tmp_path / "out").exists()
 
 
@@ -132,6 +163,7 @@ def test_constructor_rejection_names_field(tmp_path, capsys, alg, problem, path)
      "algorithm.read_model.p"),
     ({}, {"type": "least_squares", "kappa": 10.0}, "problem.kappa"),
     ({}, {"type": "noisy_quadratic", "widths": [4, 2]}, "problem.widths"),
+    ({}, {"type": "noisy_quadratic", "seed": 0}, "problem.seed"),  # the instance has no randomness
 ])
 def test_key_of_another_kind_rejected(tmp_path, capsys, alg, problem, path):
     doc = base_doc(tmp_path, T=1)
@@ -234,7 +266,7 @@ def test_out_flag_overrides_stem(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("problem", [
-    {"type": "noisy_quadratic", "n": 20, "kappa": 10.0, "sigma": 1.0, "N": 64, "gap": 1.0, "seed": 0},
+    {"type": "noisy_quadratic", "n": 20, "kappa": 10.0, "sigma": 1.0, "N": 64, "gap": 1.0},
     {"type": "least_squares", "n": 10, "N": 40, "seed": 0},
 ], ids=["noisy_quadratic", "least_squares"])
 def test_omitted_fields_take_constructor_defaults(tmp_path, capsys, problem):
@@ -336,12 +368,21 @@ def test_readme_config_examples_run(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_readme_python_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------ theory command
 
 def quad_theory_doc(tmp_path):
     return {
         "problem": {"type": "noisy_quadratic", "n": 20, "kappa": 10, "sigma": 1.0,
-                    "N": 64, "gap": 1.0, "seed": 0},
+                    "N": 64, "gap": 1.0},
         "algorithm": {"mode": "con-sim", "K": 100, "M": 1, "T": 3,
                       "gamma": {"kind": "corollary2"},
                       "delay_model": {"kind": "uniform"}},

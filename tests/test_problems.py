@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -121,6 +122,35 @@ def test_quadratic_validation():
         NoisyQuadratic(np.eye(2), np.zeros(2), 1.0, 7, np.zeros(2))  # odd N
     with pytest.raises(ValueError):
         NoisyQuadratic(-np.eye(2), np.zeros(2), 1.0, 8, np.zeros(2))  # not PSD
+
+
+@pytest.mark.parametrize("Q,message", [
+    (np.ones((2, 3)), "Q must be square"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "Q must be symmetric"),
+    (np.diag([1.0, -0.5]), "Q must be positive semidefinite"),
+], ids=["non-square", "asymmetric", "indefinite"])
+def test_quadratic_refuses_bad_Q(Q, message):
+    n = Q.shape[0]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        NoisyQuadratic(Q, np.zeros(n), 1.0, 8, np.zeros(n))
+
+
+@pytest.mark.parametrize("make,kwargs", [
+    (make_noisy_quadratic, {"n": 0}),
+    (make_noisy_quadratic, {"kappa": 0.5}),
+    (make_noisy_quadratic, {"gap": -1.0}),
+    (make_noisy_quadratic, {"kappa": math.nan}),
+    (make_least_squares, {"n": 0}),
+    (make_least_squares, {"N": 0}),
+], ids=["quadratic-n", "quadratic-kappa", "quadratic-gap", "quadratic-kappa-nan", "least_squares-n",
+        "least_squares-N"])
+def test_problem_builders_refuse_out_of_range_values(make, kwargs):
+    """The message starts with the parameter's name, and nothing is built first."""
+    (name,) = kwargs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning means arrays were built
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            make(**kwargs)
 
 
 def _signed_points(p, rng, count):
