@@ -49,6 +49,7 @@ from .core import (
     RunConfig,
     SeedSpec,
     Trace,
+    resolve_gamma,
 )
 from .engines_parallel import run_lockfree_shared, run_param_server
 from .engines_sim import (
@@ -291,6 +292,10 @@ def cmd_run(args) -> int:
         except ValueError as e:
             raise ConfigError(f"seeds.master_seed: the last of {replicates} replicates "
                               f"runs with seed {master} + {replicates - 1}: {e}") from None
+        try:  # a derived steplength needs the problem's constants: refused here, before any output
+            resolve_gamma(cfg, problem)
+        except ValueError as e:
+            raise ConfigError(f"algorithm.gamma: {e}") from None
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -323,7 +328,8 @@ def cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as e:
-        # derived-steplength rules can reject a problem's constants at run time
+        # an engine refuses a config it cannot run, as the lock-free engine does a K
+        # past its shared counter
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK

@@ -135,43 +135,27 @@ def resolve_gamma(cfg: "RunConfig", p) -> float:
 
 
 class HistoryRing:
-    """Bounded buffer of the last horizon+1 indexed items.
+    """Bounded buffer of the last horizon+1 appended items; item j lives in slot
+    j mod (horizon+1).  The consistent-read simulator keeps iterate x_j there.
 
-    Slot j holds whatever the owner stores for iteration j: the consistent-read
-    simulator keeps the iterate x_j there.  At current index k_now,
-    every j in [max(0, k_now - horizon), k_now] that has been appended is
-    retrievable; anything older has been dropped and is rejected.
+    `get` does not check its index.  Its caller keeps the window: after item
+    k_now is appended, get(j) returns item j for every j in
+    [max(0, k_now - horizon), k_now], and any other j returns another item.
     """
 
     def __init__(self, horizon: int):
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
-        self.horizon = horizon
         self._slots: list[Any] = [None] * (horizon + 1)
-        self._count = 0  # number of items appended; item i lives at slot i % (horizon+1)
+        self._count = 0  # number of items appended
 
-    def append(self, item: Any) -> int:
-        """Store item under the next index and return that index."""
-        idx = self._count
-        self._slots[idx % len(self._slots)] = item
-        self._count = idx + 1
-        return idx
+    def append(self, item: Any) -> None:
+        """Store item under the next index."""
+        self._slots[self._count % len(self._slots)] = item
+        self._count += 1
 
-    def get(self, j: int, k_now: int):
-        lo = max(0, k_now - self.horizon)
-        if not lo <= j <= k_now:
-            raise IndexError(
-                f"history index {j} outside window [{lo}, {k_now}] (horizon {self.horizon})"
-            )
-        if j >= self._count:
-            raise IndexError(f"history index {j} not stored yet (have {self._count} items)")
-        if j < self._count - len(self._slots):
-            raise IndexError(f"history index {j} already evicted (oldest kept: {self._count - len(self._slots)})")
-        return self._slots[j % len(self._slots)]
-
-    def __getitem__(self, j: int):
-        """Item j without get's window checks, for callers that have already checked
-        that j lies in the window: an index outside it returns another item."""
+    def get(self, j: int):
+        """Item j, for j inside the window the caller keeps."""
         return self._slots[j % len(self._slots)]
 
 
@@ -383,7 +367,7 @@ class Recorder:
             "seed": cfg.seeds.master_seed,
             "gamma": self.gamma,
             "workers": cfg.workers,
-            "config_fingerprint": f"{p.name}|{cfg.fingerprint()}",
+            "config_fingerprint": f"{p.fingerprint()}|{cfg.fingerprint()}",
             "delays": self.delays,
             "worker_ids": self.worker_ids,
         }

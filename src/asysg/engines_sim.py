@@ -22,8 +22,9 @@ fills consecutive per-iteration calls of the block's rows
 per iteration: read masks of the warm-up iterations k < T, whose windows are
 narrower, and the sparse variant's coordinate, whose range is the support of
 the gradient just computed.  Each iteration's delays and read masks are
-checked against its window once; con-sim then reads its ring's slots unchecked,
-and the incon simulators read each missed update from their log (below).
+checked against its window once; con-sim then reads iterate k - tau from its
+ring, which keeps no check of its own (`HistoryRing.get`), and the incon
+simulators read each missed update from their log (below).
 
 Each simulator keeps only its update rule; `core.Recorder` resolves gamma,
 caps every delay at T and stores the trace.  Each update's delay goes into the
@@ -77,7 +78,7 @@ class DelayModel:
     def describe(self) -> str:
         return f"fixed({self.tau})" if self.kind == "fixed" else self.kind
 
-    def draw_block(self, rng: np.random.Generator, k0: int, B: int, M: int, T: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, k0: int, B: int, M: int, T: int) -> np.ndarray:
         """Delays of iterations k0 .. k0+B-1 as a (B, M) integer array; row b is
         bit for bit what B draws of one iteration each would give."""
         if self.kind == "fixed":
@@ -85,10 +86,6 @@ class DelayModel:
         if self.kind == "uniform":
             return rng.integers(0, T + 1, size=(B, M))
         return np.broadcast_to(((k0 + np.arange(B)) % (T + 1))[:, None], (B, M))  # cyclic
-
-    def draw(self, rng: np.random.Generator, k: int, M: int, T: int) -> list[int]:
-        """The M delays of iteration k."""
-        return self.draw_block(rng, k, 1, M, T)[0].tolist()
 
     @classmethod
     def fixed(cls, tau: int) -> "DelayModel":
@@ -134,7 +131,7 @@ class ReadModel:
     def describe(self) -> str:
         return f"prefix({self.tau})" if self.kind == "prefix" else f"random-subset(p={self.p})"
 
-    def draw_block(self, rng: np.random.Generator, k0: int, B: int, M: int, T: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, k0: int, B: int, M: int, T: int) -> np.ndarray:
         """Read sets of iterations k0 .. k0+B-1 as a (B, M, w) boolean array over the
         window of w = min(k0, T) updates: entry t is True when the read misses update
         k - w + t.  Every iteration of a block must have the same window, so B > 1
@@ -147,12 +144,6 @@ class ReadModel:
             masks[..., w - min(self.tau, w):] = True  # the tau most recent updates
             return masks
         return rng.random((B, M, w)) < self.p
-
-    def draw(self, rng: np.random.Generator, k: int, M: int, T: int) -> list[tuple[int, ...]]:
-        """M read sets, each an ascending tuple inside [max(0, k-T), k-1]."""
-        masks = self.draw_block(rng, k, 1, M, T)[0]
-        lo = k - masks.shape[1]
-        return [tuple(lo + int(t) for t in np.flatnonzero(row)) for row in masks]
 
     @classmethod
     def prefix(cls, tau: int) -> "ReadModel":
@@ -233,7 +224,7 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
     gamma = rec.gamma
     for k0, k1 in _blocks(cfg.K):
         S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, M))
-        D = dm.draw_block(rng_delay, k0, k1 - k0, M, T).tolist()
+        D = dm.draw(rng_delay, k0, k1 - k0, M, T).tolist()
         for k, xis, taus in zip(range(k0, k1), S, D):
             if rec.due(k):
                 rec.snap(k, x)
@@ -244,9 +235,9 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
             rec.delays[k + 1] = max(taus)
             runs = _runs(taus)  # 0 <= tau <= min(k, T): iterate k - tau is in the ring
             a, b = next(runs)
-            acc = p.batch_gradient_sum(ring[k - taus[a]], xis[a:b])  # a new array: ours to change
+            acc = p.batch_gradient_sum(ring.get(k - taus[a]), xis[a:b])  # a new array: ours to change
             for a, b in runs:
-                acc += p.batch_gradient_sum(ring[k - taus[a]], xis[a:b])
+                acc += p.batch_gradient_sum(ring.get(k - taus[a]), xis[a:b])
             acc *= gamma
             x = x - acc
             ring.append(x)
@@ -264,9 +255,9 @@ def sparse_coordinate_update(g: np.ndarray, gamma: float, i: int) -> float:
 def _read_masks(rm, rng: np.random.Generator, k0: int, k1: int, M: int, T: int) -> list[np.ndarray]:
     """The (M, min(k, T)) read masks of iterations k0 .. k1-1: one draw per warm-up
     iteration (k < T, whose windows are narrower), one block draw for the rest."""
-    warm = [rm.draw_block(rng, k, 1, M, T)[0] for k in range(k0, min(k1, T))]
+    warm = [rm.draw(rng, k, 1, M, T)[0] for k in range(k0, min(k1, T))]
     full = max(k0, T)
-    return warm + (list(rm.draw_block(rng, full, k1 - full, M, T)) if full < k1 else [])
+    return warm + (list(rm.draw(rng, full, k1 - full, M, T)) if full < k1 else [])
 
 
 def _run_incon(p, cfg: RunConfig, sparse: bool):

@@ -27,7 +27,7 @@ PLOT_CURVES = (
 
 
 class TraceParseError(ValueError):
-    """Malformed trace CSV; the message names the offending line."""
+    """Malformed trace CSV; the message names the offending line, or the row by its k."""
 
 
 # ------------------------------------------------------------ convergence metrics
@@ -158,8 +158,15 @@ def write_trace_csv(trace: Trace, path: str) -> None:
 
 
 def read_trace_csv(path: str) -> Trace:
+    """Parse a trace file and check its rows as the recorder checks the traces it
+    writes: k strictly increasing, t not decreasing, finite values, gradsq >= 0."""
     with open(path, "r", encoding="utf-8") as fh:
-        return trace_from_csv(fh.read())
+        trace = trace_from_csv(fh.read())
+    try:
+        trace.validate()
+    except ValueError as e:
+        raise TraceParseError(f"{path}: {e}") from None
+    return trace
 
 
 # ------------------------------------------------------------ plot data

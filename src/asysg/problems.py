@@ -8,6 +8,7 @@ cache of grad f per read point, which changes no bit of any result.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +25,11 @@ class Problem:
 
     A problem implements value_and_gradient(x) = (f(x), grad f(x)),
     batch_gradient_sum(x, xis) = the sum of G(x; xi) over the samples, and
-    l_s(s).  It may override coordinate_gradient_sum, whose default reads the
-    entry off the batch sum.  objective, full_gradient, stochastic_gradient and
+    l_s(s).  batch_gradient_sum refuses a sample outside 1..N with a
+    ValueError that says "sample index"; stochastic_gradient relies on that
+    check.  A problem may override coordinate_gradient_sum, whose default reads
+    the entry off the batch sum, and name its instance's data for fingerprint.
+    objective, full_gradient, stochastic_gradient and
     value_and_gradient_at_x1 (the start point's pair, evaluated once per
     problem) derive from these.
 
@@ -45,11 +49,6 @@ class Problem:
         if x.shape != (self.n,):
             raise ValueError(f"expected parameter vector of shape ({self.n},), got {x.shape}")
         return x
-
-    def _check_xi(self, xi: int) -> int:
-        if not 1 <= xi <= self.sample_count:
-            raise ValueError(f"sample index {xi} outside 1..{self.sample_count}")
-        return int(xi)
 
     def _check_coord(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -80,7 +79,7 @@ class Problem:
 
     def stochastic_gradient(self, x: np.ndarray, xi: int) -> np.ndarray:
         """G(x; xi): the batch sum over the one sample."""
-        return self.batch_gradient_sum(x, [self._check_xi(xi)])
+        return self.batch_gradient_sum(x, [xi])
 
     def coordinate_gradient_sum(self, x: np.ndarray, xis: np.ndarray, i: int) -> float:
         """Entry i of batch_gradient_sum(x, xis): the oracle of the inconsistent-read rule,
@@ -93,6 +92,12 @@ class Problem:
         """Support-restricted gradient Lipschitz constant for supports of size s clamped
         to [1, n]; callers pass the delay bound T, which may be 0."""
         raise NotImplementedError
+
+    def fingerprint(self) -> str:
+        """The instance's identity in trace fingerprints, the same in every process:
+        the name and what defines the instance's data.  The shipped problems set it
+        once, as `_fingerprint` in __init__; without one it is the name alone."""
+        return vars(self).get("_fingerprint", self.name)
 
     def value_and_gradient_at_x1(self) -> tuple[float, np.ndarray]:
         """value_and_gradient(x1), evaluated on first use and kept for the problem's
@@ -168,6 +173,7 @@ class NoisyQuadratic(Problem):
         self.sigma_sq = self.sigma * self.sigma
         # Q is PSD so min f = 0 at x*; the gap from x1 is exact
         self.gap = self.value_and_gradient_at_x1()[0]
+        self._fingerprint = f"{self.name}(N={N},sigma={self.sigma!r},data={_digest(Q, self.x_star, self._x1)})"
 
     def _read_point_gradient(self, x: np.ndarray) -> np.ndarray:
         """g0 = grad f(x) + 0.0, computed once per read point.
@@ -275,6 +281,16 @@ def _at_least(low: float, **values) -> None:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _digest(*arrays: np.ndarray) -> str:
+    """A stable hex digest of the arrays' shapes and float64 bytes."""
+    h = hashlib.blake2s(digest_size=8)
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def _seed_spec(seed: int) -> SeedSpec:
     """A problem's own seed; a bad one is reported under the `seed` field."""
     try:
@@ -309,6 +325,7 @@ class LeastSquares(Problem):
         self._f_opt = self.objective(x_opt)
         self.gap = self.value_and_gradient_at_x1()[0] - self._f_opt
         self.sigma_sq = estimate_sigma_sq(self, self._x1, self.sample_count)
+        self._fingerprint = f"{self.name}(data={_digest(A, b, self._x1)})"
 
     def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         r = self.A @ self._check_x(x) - self.b
@@ -418,6 +435,8 @@ class SyntheticMlp(Problem):
         for fan_in, _, a, b in self._layout:
             x1[a:b] = rng_init.standard_normal(b - a) / math.sqrt(fan_in)
         self._x1 = x1
+        # the spec and the seed fix every array; hashing X would cost set-up time
+        self._fingerprint = f"{self.name}({spec}, seed={self.seed})"
 
     # ---- parameter layout
 

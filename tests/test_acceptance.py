@@ -87,9 +87,10 @@ def _reference_incon(p, c, coords):
         xis = rng_s.integers(1, p.sample_count + 1, size=c.M)
         x = xs[-1]
         acc = np.zeros(p.n)
-        for m, J in enumerate(c.read_model.draw(rng_r, k, c.M, c.T)):
+        masks = c.read_model.draw(rng_r, k, 1, c.M, c.T)[0]
+        for m, row in enumerate(masks):
             xhat = x.copy()
-            for j in J:
+            for j in k - masks.shape[1] + np.flatnonzero(row):
                 xhat -= xs[j + 1] - xs[j]
             acc += p.stochastic_gradient(xhat, int(xis[m]))
         i = int(coords[k + 1])

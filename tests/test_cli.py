@@ -38,6 +38,19 @@ def test_negative_T_exits_2_naming_field(tmp_path, capsys):
     assert "algorithm.T" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem", [
+    {"type": "noisy_quadratic", "n": 1, "kappa": 1, "gap": 0},
+    {"type": "least_squares", "N": 1},  # one sample: sigma^2 = 0
+], ids=["quadratic-gap-0", "least-squares-N-1"])
+def test_uncomputable_derived_gamma_refused_before_any_output(tmp_path, capsys, problem):
+    doc = base_doc(tmp_path)
+    doc["problem"] = problem
+    doc["algorithm"]["gamma"] = {"kind": "corollary2"}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: algorithm.gamma")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_key_rejected_with_path(tmp_path, capsys):
     doc = base_doc(tmp_path)
     doc["problem"]["sigmaa"] = 1.0
@@ -507,6 +520,35 @@ def test_speedup_malformed_trace_exits_2(tmp_path, capsys):
     assert main(["speedup", "--baseline", str(bad), "--parallel", f"2:{bad}",
                  "--epsilon", "1.0"]) == 2
     capsys.readouterr()
+
+
+# a read-back trace is checked as the recorder checks the traces it writes
+_BAD_ROWS = {
+    "k-not-increasing": ["5,0,1,1,0.05,0", "3,1,1,1,0.05,0", "0,2,1,1,0.05,0"],
+    "t-backwards": ["0,2,1,1,0.05,0", "10,1,1,1,0.05,0"],
+    "f-nan": ["0,0,1,1,0.05,0", "10,1,nan,1,0.05,0"],
+    "gradsq-negative": ["0,0,1,-2,0.05,0", "10,1,1,1,0.05,0"],
+}
+
+
+@pytest.mark.parametrize("fault", list(_BAD_ROWS))
+def test_speedup_refuses_invalid_trace_rows(tmp_path, capsys, fault):
+    base = write_trace(tmp_path, "base.csv", [1000], [1.0], [100.0])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([CSV_HEADER, *_BAD_ROWS[fault]]) + "\n")
+    assert main(["speedup", "--baseline", base, "--parallel", f"2:{bad}",
+                 "--epsilon", "1.0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("fault", list(_BAD_ROWS))
+def test_plotdata_refuses_invalid_trace_rows(tmp_path, capsys, fault):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([CSV_HEADER, *_BAD_ROWS[fault]]) + "\n")
+    assert main(["plotdata", "--trace", str(bad), "--out", str(tmp_path / "plots" / "t")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not (tmp_path / "plots").exists()
 
 
 # ------------------------------------------------------------ plotdata command

@@ -82,14 +82,13 @@ def test_model_draws_equal_block_rows(T):
     B, M, K = 23, 3, T + 23
     rm, dm = ReadModel.random_subset(0.5), DelayModel.uniform()
     rng = derive_stream(SeedSpec(4), 0, "read")
-    masks = [rm.draw_block(rng, k, 1, M, T)[0] for k in range(T)] + list(rm.draw_block(rng, T, B, M, T))
+    masks = [rm.draw(rng, k, 1, M, T)[0] for k in range(T)] + list(rm.draw(rng, T, B, M, T))
     rng = derive_stream(SeedSpec(4), 0, "read")
     for k, mask in enumerate(masks):
-        lo = k - mask.shape[1]
-        assert rm.draw(rng, k, M, T) == [tuple(lo + int(t) for t in np.flatnonzero(row)) for row in mask]
-    block = dm.draw_block(derive_stream(SeedSpec(4), 0, "delay"), 0, K, M, T)
+        assert np.array_equal(rm.draw(rng, k, 1, M, T)[0], mask)
+    block = dm.draw(derive_stream(SeedSpec(4), 0, "delay"), 0, K, M, T)
     rng = derive_stream(SeedSpec(4), 0, "delay")
-    assert [dm.draw(rng, k, M, T) for k in range(K)] == block.tolist()
+    assert [dm.draw(rng, k, 1, M, T)[0].tolist() for k in range(K)] == block.tolist()
 
 
 def test_stream_rejects_negative_worker():
@@ -110,61 +109,38 @@ def test_seedspec_validation():
 def test_ring_in_window_retrieval():
     ring = HistoryRing(horizon=2)
     for j in range(6):
-        assert ring.append(f"x{j}") == j
-    assert ring.get(3, 5) == "x3"
-    assert ring.get(5, 5) == "x5"
-
-
-def test_ring_rejects_stale_index():
-    ring = HistoryRing(horizon=2)
-    for j in range(6):
         ring.append(f"x{j}")
-    with pytest.raises(IndexError):
-        ring.get(2, 5)  # j < k_now - horizon
+    assert ring.get(3) == "x3"
+    assert ring.get(5) == "x5"
 
 
 def test_ring_warmup_window_clamps_at_zero():
     ring = HistoryRing(horizon=2)
     ring.append("x0")
     ring.append("x1")
-    assert ring.get(0, 1) == "x0"
-
-
-def test_ring_rejects_unstored_index():
-    ring = HistoryRing(horizon=3)
-    ring.append("x0")
-    with pytest.raises(IndexError):
-        ring.get(1, 1)
+    assert ring.get(0) == "x0"
 
 
 def test_ring_horizon_zero():
     ring = HistoryRing(horizon=0)
     ring.append("a")
     ring.append("b")
-    assert ring.get(1, 1) == "b"
-    with pytest.raises(IndexError):
-        ring.get(0, 1)
+    assert ring.get(1) == "b"
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     horizon=st.integers(min_value=0, max_value=8),
     n_items=st.integers(min_value=1, max_value=40),
-    probes=st.lists(st.integers(min_value=-3, max_value=45), max_size=20),
 )
-def test_ring_window_property(horizon, n_items, probes):
-    # the ring serves exactly the indices in [max(0, k_now - horizon), k_now], nothing else
+def test_ring_window_property(horizon, n_items):
+    # the ring serves every index in [max(0, k_now - horizon), k_now]
     ring = HistoryRing(horizon)
     for j in range(n_items):
         ring.append(j * 10)
     k_now = n_items - 1
-    for j in probes:
-        lo = max(0, k_now - horizon)
-        if lo <= j <= k_now:
-            assert ring.get(j, k_now) == j * 10
-        else:
-            with pytest.raises(IndexError):
-                ring.get(j, k_now)
+    for j in range(max(0, k_now - horizon), k_now + 1):
+        assert ring.get(j) == j * 10
 
 
 # ---------------------------------------------------------------- gamma rule / run config

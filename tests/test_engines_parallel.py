@@ -202,6 +202,9 @@ class _FailingProblem:
     def l_s(self, s):
         return self.inner.l_s(s)
 
+    def fingerprint(self):
+        return self.inner.fingerprint()
+
     def _count_call(self):
         if next(self.calls) >= self.after:
             raise RuntimeError("oracle failure injected")

@@ -48,18 +48,25 @@ def test_delay_model_validation():
 
 def test_delay_model_draws():
     rng = derive_stream(SeedSpec(7), 0, "delay")
-    assert DelayModel.fixed(2).draw(rng, k=9, M=4, T=5) == [2, 2, 2, 2]
-    assert DelayModel.cyclic().draw(rng, k=9, M=2, T=3) == [1, 1]  # 9 mod 4
-    assert DelayModel.cyclic().draw(rng, k=4, M=1, T=3) == [0]
+    assert DelayModel.fixed(2).draw(rng, 9, 1, M=4, T=5)[0].tolist() == [2, 2, 2, 2]
+    assert DelayModel.cyclic().draw(rng, 9, 1, M=2, T=3)[0].tolist() == [1, 1]  # 9 mod 4
+    assert DelayModel.cyclic().draw(rng, 4, 1, M=1, T=3)[0].tolist() == [0]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 7), st.integers(0, 50))
 @settings(max_examples=60, deadline=None)
 def test_uniform_delays_within_bound(seed, T, k):
     rng = derive_stream(SeedSpec(seed), 0, "delay")
-    taus = DelayModel.uniform().draw(rng, k=k, M=8, T=T)
+    taus = DelayModel.uniform().draw(rng, k, 1, M=8, T=T)[0]
     assert len(taus) == 8
     assert all(0 <= t <= T for t in taus)
+
+
+def _read_sets(rm, rng, k, M, T):
+    """The M read sets of iteration k, one `draw` call, as ascending index tuples."""
+    masks = rm.draw(rng, k, 1, M, T)[0]
+    lo = k - masks.shape[1]
+    return [tuple(lo + int(t) for t in np.flatnonzero(row)) for row in masks]
 
 
 def test_read_model_validation():
@@ -77,10 +84,10 @@ def test_read_model_validation():
 def test_prefix_read_sets():
     rng = derive_stream(SeedSpec(0), 0, "read")
     rm = ReadModel.prefix(2)
-    assert rm.draw(rng, k=5, M=2, T=4) == [(3, 4), (3, 4)]
-    assert rm.draw(rng, k=1, M=1, T=4) == [(0,)]   # clamped to available history
-    assert rm.draw(rng, k=0, M=1, T=4) == [()]
-    assert ReadModel.prefix(4).draw(rng, k=3, M=1, T=4) == [(0, 1, 2)]
+    assert _read_sets(rm, rng, k=5, M=2, T=4) == [(3, 4), (3, 4)]
+    assert _read_sets(rm, rng, k=1, M=1, T=4) == [(0,)]   # clamped to available history
+    assert _read_sets(rm, rng, k=0, M=1, T=4) == [()]
+    assert _read_sets(ReadModel.prefix(4), rng, k=3, M=1, T=4) == [(0, 1, 2)]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 40),
@@ -88,7 +95,7 @@ def test_prefix_read_sets():
 @settings(max_examples=60, deadline=None)
 def test_random_subset_within_window(seed, T, k, p_inc):
     rng = derive_stream(SeedSpec(seed), 0, "read")
-    Js = ReadModel.random_subset(p_inc).draw(rng, k=k, M=3, T=T)
+    Js = _read_sets(ReadModel.random_subset(p_inc), rng, k=k, M=3, T=T)
     lo = max(0, k - T)
     for J in Js:
         assert len(J) <= T
@@ -98,8 +105,8 @@ def test_random_subset_within_window(seed, T, k, p_inc):
 
 def test_random_subset_extremes():
     rng = derive_stream(SeedSpec(3), 0, "read")
-    assert ReadModel.random_subset(0.0).draw(rng, k=9, M=2, T=4) == [(), ()]
-    assert ReadModel.random_subset(1.0).draw(rng, k=9, M=1, T=4) == [(5, 6, 7, 8)]
+    assert _read_sets(ReadModel.random_subset(0.0), rng, k=9, M=2, T=4) == [(), ()]
+    assert _read_sets(ReadModel.random_subset(1.0), rng, k=9, M=1, T=4) == [(5, 6, 7, 8)]
 
 
 # ------------------------------------------------------------ serial baseline
@@ -183,7 +190,7 @@ def test_con_sim_matches_full_history_replay(dm, T, exact):
     worst_delay = 0
     for k in range(K):
         xis = rng_s.integers(1, p.sample_count + 1, size=M)
-        taus = dm.draw(rng_d, k, M, T)
+        taus = dm.draw(rng_d, k, 1, M, T)[0]
         acc = np.zeros(p.n)
         for m in range(M):
             tau = min(taus[m], k)
@@ -210,10 +217,7 @@ def test_con_sim_rejects_delay_above_bound():
         def describe(self):
             return "rogue"
 
-        def draw(self, rng, k, M, T):
-            return [T + 1] * M
-
-        def draw_block(self, rng, k0, B, M, T):
+        def draw(self, rng, k0, B, M, T):
             return np.full((B, M), T + 1)
 
     with pytest.raises(EngineError) as exc:
@@ -245,7 +249,7 @@ def _redraw(p, cfg):
     rng_r = derive_stream(cfg.seeds, 0, "read")
     for k in range(cfg.K):
         xis = rng_s.integers(1, p.sample_count + 1, size=cfg.M)
-        yield k, xis, cfg.read_model.draw(rng_r, k, cfg.M, cfg.T)
+        yield k, xis, _read_sets(cfg.read_model, rng_r, k, cfg.M, cfg.T)
 
 
 def _coord_draws(p, cfg):
@@ -381,10 +385,7 @@ def test_incon_sim_rejects_read_set_outside_window():
         def describe(self):
             return "rogue"
 
-        def draw(self, rng, k, M, T):
-            return [(k,)] * M  # j = k is not a past update
-
-        def draw_block(self, rng, k0, B, M, T):
+        def draw(self, rng, k0, B, M, T):
             # one column too many: the last one would be j = k, not a past update
             return np.ones((B, M, min(k0, T) + 1), dtype=bool)
 
@@ -498,7 +499,8 @@ class _TextbookQuadratic(NoisyQuadratic):
         x = self._check_x(x)
         acc = np.zeros(self.n)
         for xi in np.asarray(xis, dtype=int).tolist():
-            xi = self._check_xi(xi)
+            if not 1 <= xi <= self.sample_count:
+                raise ValueError(f"sample index {xi} outside 1..{self.sample_count}")
             z = np.zeros(self.n)
             if self.sigma:
                 z[((xi - 1) // 2) % self.n] = self.sigma if xi % 2 else -self.sigma

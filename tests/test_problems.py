@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from asysg import core, problems
+from asysg import core, harness, problems
 from asysg.core import MODES, SIM_MODES, GammaRule, RunConfig, SeedSpec, delay_stats, derive_stream
 from asysg.cli import ENGINES
 from asysg.engines_parallel import run_param_server
@@ -717,3 +717,30 @@ def test_recorder_owns_step_size_delay_cap_and_meta(mode, monkeypatch):
     assert rec.delay_cap == (cfg.T if mode in SIM_MODES else None)
     if mode not in SIM_MODES:
         assert result[1] == rec.delay_stats()
+
+
+_TWINS = {  # two builds that differ in one field of the instance
+    "quadratic-kappa": (lambda: make_noisy_quadratic(n=4, kappa=10, N=8),
+                        lambda: make_noisy_quadratic(n=4, kappa=5, N=8)),
+    "least-squares-seed": (lambda: make_least_squares(n=3, N=10, seed=1),
+                           lambda: make_least_squares(n=3, N=10, seed=2)),
+    "mlp-widths": (lambda: make_synthetic_mlp(MlpSpec(widths=(4, 3, 2), sample_count=10)),
+                   lambda: make_synthetic_mlp(MlpSpec(widths=(4, 5, 2), sample_count=10))),
+    "mlp-seed": (lambda: make_synthetic_mlp(MlpSpec(widths=(4, 3, 2), sample_count=10), seed=0),
+                 lambda: make_synthetic_mlp(MlpSpec(widths=(4, 3, 2), sample_count=10), seed=1)),
+}
+
+
+@pytest.mark.parametrize("case", list(_TWINS))
+def test_fingerprint_names_the_problem_instance(case):
+    # the same build twice shares a fingerprint; another instance under the same
+    # config does not, and bound_report refuses to average the two
+    make, make_other = _TWINS[case]
+    cfg = RunConfig(mode="serial", K=20, gamma=GammaRule.constant(0.01), checkpoint_every=10,
+                    seeds=SeedSpec(0))
+    a, b, c = (run_serial_sg(p, cfg) for p in (make(), make(), make_other()))
+    assert a.meta["config_fingerprint"] == b.meta["config_fingerprint"]
+    assert a.meta["config_fingerprint"] != c.meta["config_fingerprint"]
+    assert harness.bound_report([a, b], {})["n_traces"] == 2
+    with pytest.raises(ValueError, match="config mismatch"):
+        harness.bound_report([a, c], {})
