@@ -248,17 +248,20 @@ class Trace:
         return isinstance(other, Trace) and self.rows == other.rows
 
     def validate(self, delay_cap: int | None = None) -> None:
-        """Check row ordering, finiteness, and (for sim modes) the hard delay cap."""
+        """Check row ordering, finiteness, signs, a running-max delay column, and
+        (for sim modes) the hard delay cap."""
         for prev, cur in zip(self.rows, self.rows[1:]):
             if cur.k <= prev.k:
                 raise ValueError(f"trace rows not strictly increasing in k: {prev.k} then {cur.k}")
             if cur.t < prev.t:
                 raise ValueError(f"trace time went backwards at k={cur.k}")
+            if cur.max_delay_observed < prev.max_delay_observed:
+                raise ValueError(f"max_delay_observed fell at k={cur.k}")
         for r in self.rows:
-            if not (math.isfinite(r.f) and math.isfinite(r.gradsq) and math.isfinite(r.gamma)):
+            if not all(map(math.isfinite, (r.t, r.f, r.gradsq, r.gamma))):
                 raise ValueError(f"non-finite trace values at k={r.k}")
-            if r.gradsq < 0:
-                raise ValueError(f"negative gradsq at k={r.k}")
+            if min(r.gradsq, r.gamma, r.max_delay_observed) < 0:
+                raise ValueError(f"negative gradsq, gamma or max_delay_observed at k={r.k}")
             if delay_cap is not None and r.max_delay_observed > delay_cap:
                 raise ValueError(
                     f"observed delay {r.max_delay_observed} exceeds bound {delay_cap} at k={r.k}"

@@ -159,7 +159,8 @@ def write_trace_csv(trace: Trace, path: str) -> None:
 
 def read_trace_csv(path: str) -> Trace:
     """Parse a trace file and check its rows as the recorder checks the traces it
-    writes: k strictly increasing, t not decreasing, finite values, gradsq >= 0."""
+    writes: k strictly increasing, t and max_delay_observed not decreasing,
+    finite values, gradsq, gamma and max_delay_observed >= 0."""
     with open(path, "r", encoding="utf-8") as fh:
         trace = trace_from_csv(fh.read())
     try:

@@ -19,7 +19,8 @@ INCON_BOUND_VARIANTS = ("thm3", "thm3-appendix", "cor4", "sparse")
 
 # Matrix entries per batched eigensolve in `constants_quadratic` (128 KB of
 # float64): memory stays flat however many supports are enumerated.  At 2 MB
-# the enumeration for the 20-dim quadratic set a new peak RSS (+0.6 MB).
+# the enumeration for the 20-dim quadratic set a new peak RSS (+0.6 MB); that
+# diagonal quadratic no longer enumerates, since its top column reaches L.
 EIGH_BLOCK_ENTRIES = 1 << 14
 
 
@@ -56,12 +57,13 @@ def constants_quadratic(
     L is the spectral norm of Q, L_max the largest |Q_ii|, and L_s the maximum
     spectral norm of Q restricted to s columns, taken over all supports of size s
     (equivalently sqrt of the largest eigenvalue of an s x s principal submatrix
-    of Q^2).  Exhaustive over supports, so cost still grows as C(n, s), but the
-    submatrices are stacked and solved by one batched eigensolve per block of
-    at most EIGH_BLOCK_ENTRIES matrix entries.  Each matrix goes through the same
-    LAPACK routine as a single solve would, so every L_s is the float a
-    per-support loop gives.  The limit guards against accidental monster
-    enumerations and raises before any eigensolve.
+    of Q^2).  Each s first solves the support of the s largest columns; if that
+    reaches L, the [L_max, L] clamp below makes L_s = L and no other support is
+    solved.  Otherwise all C(n, s) supports are stacked and solved by one batched
+    eigensolve per block of at most EIGH_BLOCK_ENTRIES matrix entries.  Each
+    matrix goes through the same LAPACK routine as a single solve would, so
+    every L_s is the float a per-support loop gives.  The limit counts all
+    C(n, s) supports, shortcut or not, and raises before any eigensolve.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -86,8 +88,13 @@ def constants_quadratic(
     L = math.sqrt(max(float(np.linalg.eigvalsh(Q2)[-1]), 0.0))
     L_max = float(np.abs(np.diag(Q)).max())
 
+    order = sorted(range(n), key=lambda i: -Q2[i, i])  # columns by falling norm
     raw: dict[int, float] = {}
     for s in s_values:
+        top = sorted(order[:s])  # index order as enumerated, so the same float
+        if math.sqrt(max(float(np.linalg.eigvalsh(Q2[np.ix_(top, top)])[-1]), 0.0)) >= L:
+            raw[s] = L  # an enumeration's max is at least this support's value
+            continue
         best = 0.0
         block = max(1, EIGH_BLOCK_ENTRIES // (s * s))
         supports = chain.from_iterable(combinations(range(n), s))

@@ -1,6 +1,7 @@
 """CLI tests: config validation with field-level messages, exit codes, file
 outputs, overrides, idempotence, and the three auxiliary subcommands."""
 import json
+import math
 import os
 import re
 import subprocess
@@ -455,6 +456,20 @@ def test_theory_over_enumeration_limit_exits_2(tmp_path):
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_theory_at_n60_t4_settles_l_t_at_l(capsys):
+    # C(60, 4) = 487,635 supports, none solved: the top column of the diagonal
+    # quadratic reaches L, so gamma_eq17 is Corollary 4's steplength at L_T = L
+    from asysg.problems import make_noisy_quadratic
+    from asysg.theory import steplength_corollary4
+
+    root = Path(__file__).resolve().parents[1]
+    assert main(["theory", "--config", str(root / "configs" / "theory_demo.json"),
+                 "--override", "problem.n=60", "--override", "algorithm.T=4"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    p = make_noisy_quadratic(n=60, kappa=10, sigma=1.0, N=64, gap=1.0)
+    assert data["gamma_eq17"] == steplength_corollary4(p.gap, 60, 100, p.L, 1, math.sqrt(p.sigma_sq))
+
+
 # ------------------------------------------------------------ speedup command
 
 def write_trace(tmp_path, name, ks, gradsqs, ts):
@@ -528,6 +543,10 @@ _BAD_ROWS = {
     "t-backwards": ["0,2,1,1,0.05,0", "10,1,1,1,0.05,0"],
     "f-nan": ["0,0,1,1,0.05,0", "10,1,nan,1,0.05,0"],
     "gradsq-negative": ["0,0,1,-2,0.05,0", "10,1,1,1,0.05,0"],
+    "delay-negative": ["0,0,1,1,0.05,-3", "10,1,1,1,0.05,-7"],
+    "delay-falling": ["0,0,1,1,0.05,5", "10,1,1,1,0.05,3"],
+    "t-nan": ["0,0,1,1,0.05,0", "10,nan,1,1,0.05,0"],
+    "gamma-negative": ["0,0,1,1,-0.1,0", "10,1,1,1,-0.1,0"],
 }
 
 

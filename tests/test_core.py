@@ -243,6 +243,23 @@ def test_trace_validate_delay_cap():
         tr.validate(delay_cap=2)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([(0, 0.0, 0.1, -3), (1, 1.0, 0.1, -7)], "fell"),
+    ([(0, 0.0, 0.1, -3)], "negative"),
+    ([(0, 0.0, 0.1, 5), (1, 1.0, 0.1, 3)], "fell"),
+    ([(0, 0.0, 0.1, 0), (1, float("nan"), 0.1, 0)], "non-finite"),
+    ([(0, 0.0, -0.1, 0)], "negative"),
+], ids=["delay-negative-falling", "delay-negative", "delay-falling", "t-nan", "gamma-negative"])
+def test_trace_validate_delay_column_clock_and_gamma(rows, message):
+    tr = Trace([TraceRow(k, t, 1.0, 1.0, g, d) for k, t, g, d in rows])
+    with pytest.raises(ValueError, match=message):
+        tr.validate()
+
+
+def test_trace_validate_accepts_a_running_max_delay_and_zero_gamma():
+    Trace([TraceRow(k, float(k), 1.0, 1.0, 0.0, d) for k, d in enumerate([0, 2, 2, 5])]).validate()
+
+
 def test_trace_equality_ignores_meta():
     rows = [TraceRow(0, 0.0, 1.0, 2.0, 0.1, 0)]
     assert Trace(rows, {"a": 1}) == Trace(rows, {"b": 2})

@@ -156,6 +156,56 @@ def test_constants_limit_raises_before_any_eigensolve(monkeypatch):
     assert calls == []
 
 
+def _block_diagonal_top_in_two_columns() -> np.ndarray:
+    # [[2, 1], [1, 2]] has eigenvalue 3, above every other block's spectrum, and
+    # its columns are the two of largest norm; the rest is dense but smaller
+    rng = np.random.default_rng(11)
+    A = 0.3 * rng.standard_normal((4, 4))
+    Q = np.zeros((6, 6))
+    Q[:2, :2] = [[2.0, 1.0], [1.0, 2.0]]
+    Q[2:, 2:] = (A + A.T) / 2
+    perm = np.array([3, 0, 5, 2, 1, 4])
+    return Q[np.ix_(perm, perm)]
+
+
+def _record_eigvalsh_ndims(monkeypatch) -> list[int]:
+    """Patch np.linalg.eigvalsh to log each input's ndim; 3 is a batched solve."""
+    real, ndims = np.linalg.eigvalsh, []
+
+    def recording_eigvalsh(a, *args, **kw):
+        ndims.append(np.ndim(a))
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    return ndims
+
+
+@pytest.mark.parametrize("Q, fires_from", [
+    (np.eye(5), 1),
+    (np.diag([0.5, 3.0, 1.0, 2.0, 0.25, 1.5]), 1),
+    (np.diag(np.linspace(0.1, 1.0, 7))[np.ix_([4, 6, 0, 2, 5, 1, 3], [4, 6, 0, 2, 5, 1, 3])], 1),
+    (_block_diagonal_top_in_two_columns(), 2),
+], ids=["identity", "diagonal", "permuted-diagonal", "block-diagonal"])
+def test_constants_attaining_support_equals_per_support_loop_bit_for_bit(monkeypatch, Q, fires_from):
+    n = Q.shape[0]
+    ref = per_support_l_s(Q, range(1, n + 1))
+    ndims = _record_eigvalsh_ndims(monkeypatch)
+    assert constants_quadratic(Q).L_s == ref
+    for s in range(1, n + 1):
+        ndims.clear()
+        assert constants_quadratic(Q, s_values=[s]).L_s[s] == ref[s]
+        if s >= fires_from:
+            assert 3 not in ndims, f"s={s} enumerated supports"
+
+
+def test_constants_shipped_quadratic_n60_makes_no_batched_eigensolve(monkeypatch):
+    Q = make_noisy_quadratic(n=60).Q  # C(60, 4) = 487,635 supports
+    ndims = _record_eigvalsh_ndims(monkeypatch)
+    c = constants_quadratic(Q, s_values=[4])
+    assert c.L_s[4] == c.L
+    assert ndims and 3 not in ndims
+
+
 # ------------------------------------------------------------ consistent-read formulas
 
 def test_steplength_corollary2_examples():
