@@ -21,8 +21,9 @@ field left out takes that constructor's default.  Numbers must be finite.
 `gamma` also accepts a bare number as shorthand for a constant steplength.
 Unknown keys anywhere are rejected with the offending dotted path.  Replicate
 r runs with master seed `master_seed + r` and writes `<trace>.r<r>.csv`; the
-last replicate's seed must fit in 64 bits before any runs.  Threaded modes add
-a `<trace>.r<r>.delays.json` sidecar of the delays the run actually observed:
+last replicate's seed must fit in 64 bits before any runs, and a stem that
+names a directory (`""`, `dir/`, `dir/.`) is refused.  Threaded modes add a
+`<trace>.r<r>.delays.json` sidecar of the delays the run actually observed:
 they accept `T` but do not yet bound staleness by it, so `asysg theory`
 figures for their configs assume a T the run does not enforce.  Simulator
 modes write t=0 in every row (they have no meaningful wall clock), which keeps
@@ -220,8 +221,15 @@ def parse_config(doc: dict):
     if "master_seed" in seeds:
         run["seeds"] = _build(SeedSpec, {"master_seed": seeds["master_seed"]}, "seeds")
     cfg = _build(RunConfig, run, "algorithm", homes={"checkpoint_every": "output"})
-    stem = out.get("trace", "trace")
-    return problem, cfg, stem[:-4] if stem.endswith(".csv") else stem, replicates
+    return problem, cfg, _stem(out.get("trace", "trace"), "output.trace"), replicates
+
+
+def _stem(path: str, field: str) -> str:
+    """`path` minus a trailing ".csv"; a stem naming a directory (hidden outputs) is refused."""
+    stem = path[:-4] if path.endswith(".csv") else path
+    if os.path.basename(stem) in ("", ".", ".."):
+        raise ConfigError(f"{field}: output stem {path!r} names a directory, not a file")
+    return stem
 
 
 # ------------------------------------------------------------ config file + overrides
@@ -281,7 +289,7 @@ def cmd_run(args) -> int:
         doc = apply_overrides(load_config(args.config), args.override or [])
         problem, cfg, stem, replicates = parse_config(doc)
         if args.out is not None:
-            stem = args.out[:-4] if args.out.endswith(".csv") else args.out
+            stem = _stem(args.out, "--out")
         if args.seeds is not None:
             if args.seeds < 1:
                 raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
@@ -324,12 +332,12 @@ def cmd_run(args) -> int:
                     json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
                     fh.write("\n")
                 print(side)
-    except (EngineError, OSError) as e:
+    except (EngineError, OSError, MemoryError) as e:  # MemoryError: the per-update log of a huge K
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as e:
-        # an engine refuses a config it cannot run, as the lock-free engine does a K
-        # past its shared counter
+        # a config no engine can run, as numpy's "array is too big" for the
+        # recorder's per-update log at K >= 2**60
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     return EXIT_OK
@@ -389,13 +397,11 @@ def cmd_speedup(args) -> int:
 
 def cmd_plotdata(args) -> int:
     try:
+        stem = _stem(args.trace, "--trace") if args.out is None else _stem(args.out, "--out")
         trace = read_trace_csv(args.trace)
-    except (TraceParseError, OSError) as e:
+    except (ConfigError, TraceParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    stem = args.out
-    if stem is None:
-        stem = args.trace[:-4] if args.trace.endswith(".csv") else args.trace
     out_dir = os.path.dirname(stem)
     try:
         if out_dir:

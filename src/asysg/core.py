@@ -338,23 +338,24 @@ class Recorder:
 
     Before the clock starts it resolves `gamma` and takes `delay_cap`: T in the
     simulator modes, none in the threaded modes, which do not yet bound
-    staleness.  While the run is timed, `snap` only stamps (k, t, a copy of
-    x), so the t column measures optimisation alone.  Each engine also keeps
-    one per-update log here: entry j of `delays` is the delay of its j-th
-    applied update and entry j of `worker_ids` the worker that applied it
-    (entry 0 of both stays 0; an engine without staleness writes no delay, a
-    simulator no worker id).  Both are trace meta "delays" and "worker_ids";
-    `delay_stats()` summarises them.  `finish(x, **meta)` stamps row K from
-    the final iterate, keeps that row's copy as trace meta "x_final", adds the
-    engine's own keys, evaluates each snapshot through one
-    `value_and_gradient` call, in k order, and returns the trace validated
-    against the cap; row k reports max(delays[:k+1]).  A k = 0 snapshot whose
-    bytes equal x1 reads the problem's cached `value_and_gradient_at_x1`
-    instead, so the start point is evaluated once per problem, however many
-    runs it serves.  Every snapshot is kept until then: peak memory grows by
-    rows x n x 8 bytes, plus (K+1) x 16 for the per-update log.  A non-finite
-    iterate, objective or gradient norm raises EngineError carrying the rows
-    evaluated before it.
+    staleness.  It owns the checkpoint grid {0, c, ..., K}, c =
+    checkpoint_every: engines pass every iterate to `snap(k, x)`, which stamps
+    (k, t, a copy of x) for a grid k below K, and evaluates nothing, so the t
+    column measures optimisation alone.  Each engine also keeps one per-update
+    log here: entry j of `delays` is the delay of its j-th applied update and
+    entry j of `worker_ids` the worker that applied it (entry 0 of both stays
+    0; an engine without staleness writes no delay, a simulator no worker id).
+    Both are trace meta "delays" and "worker_ids"; `delay_stats()` summarises
+    them.  `finish(x, **meta)` stamps row K from the final iterate, keeps that
+    row's copy as trace meta "x_final", adds the engine's own keys, evaluates
+    each snapshot through one `value_and_gradient` call, in k order, and
+    returns the trace validated against the cap; row k reports
+    max(delays[:k+1]).  A k = 0 snapshot whose bytes equal x1 reads the
+    problem's cached `value_and_gradient_at_x1` instead, so the start point is
+    evaluated once per problem, however many runs it serves.  Every snapshot
+    is kept until then: peak memory grows by rows x n x 8 bytes, plus (K+1) x
+    16 for the per-update log.  A non-finite iterate, objective or gradient
+    norm raises EngineError carrying the rows evaluated before it.
     """
 
     def __init__(self, p, cfg: RunConfig):
@@ -363,7 +364,7 @@ class Recorder:
         self.delay_cap = cfg.T if cfg.mode in SIM_MODES else None
         self.delays = np.zeros(cfg.K + 1, dtype=np.int64)
         self.worker_ids = np.zeros(cfg.K + 1, dtype=np.int64)
-        self.every = cfg.checkpoint_every
+        self.K, self.every = cfg.K, cfg.checkpoint_every
         self.meta = {
             "mode": cfg.mode,
             "problem": p.name,
@@ -377,12 +378,13 @@ class Recorder:
         self._snaps: list[tuple[int, float, np.ndarray]] = []
         self.t0 = time.perf_counter()
 
-    def due(self, k: int) -> bool:
-        return k % self.every == 0
+    def snap(self, k: int, x: np.ndarray) -> None:
+        """Stamp row k if k is on the grid and below K, else nothing; row K is `finish`'s."""
+        if k % self.every == 0 and k < self.K:
+            self._stamp(k, x)
 
-    def snap(self, k: int, x: np.ndarray, at: float | None = None) -> None:
-        """Stamp row k; `at` is a perf_counter reading the caller took, default now."""
-        t = (time.perf_counter() if at is None else at) - self.t0
+    def _stamp(self, k: int, x: np.ndarray) -> None:
+        t = time.perf_counter() - self.t0
         x = x.copy()
         if not np.isfinite(x).all():
             raise EngineError(f"non-finite iterate at k={k}", self.trace())
@@ -407,7 +409,7 @@ class Recorder:
     def finish(self, x: np.ndarray, **meta) -> Trace:
         """Stamp row K from the final iterate `x`, add the engine's meta keys, then
         evaluate every row and validate the trace against the delay cap."""
-        self.snap(len(self.delays) - 1, x)
+        self._stamp(self.K, x)
         self.meta.update(x_final=self._snaps[-1][2], **meta)
         trace = self.trace()
         trace.validate(delay_cap=self.delay_cap)

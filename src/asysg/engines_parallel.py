@@ -7,15 +7,14 @@ compute one M-sample gradient per push and hold at most one unapplied push at
 a time, which keeps single-worker staleness inside {0, 1}.
 
 incon-threads is the lock-free layout: the vector lives in one shared array,
-workers copy it without any whole-vector guarantee (torn reads are the point),
-compute only the entry of the M-sample gradient sum that the update moves
-(`coordinate_gradient_sum`), and write back that single coordinate through an
-add that CPython's GIL makes indivisible (one C-level call).  A shared claim
-counter defines the global iteration index, so the run applies exactly K
-coordinate writes no matter how threads interleave.  Checkpoint rows land
-exactly on the grid {0, c, 2c, ..., K} (c = checkpoint_every): the worker whose
-write is the j*c-th to land copies the vector itself, unsynchronized, so that
-row may be torn as well.
+workers copy it without any lock or whole-vector guarantee (torn reads are the
+point), compute only the entry of the M-sample gradient sum that the update
+moves (`coordinate_gradient_sum`), and write back that single coordinate.  A
+shared claim counter defines the global iteration index, so the run applies
+exactly K coordinate writes no matter how threads interleave.  One short
+critical section holds the write, the count of landed writes and, when the
+count reaches the grid {0, c, 2c, ..., K} (c = checkpoint_every), the copy of
+that row: row j is x after exactly j writes, never torn.
 
 Both engines keep only their update rules and leave the run's bookkeeping to
 `core.Recorder`: it resolves gamma, sets no delay cap (staleness is not yet
@@ -45,10 +44,11 @@ of `Recorder.worker_ids` (trace meta "delays" and "worker_ids"); row k reports
 the running max up to j = k, and `Recorder.delay_stats()` summarises both
 arrays after the run, as each engine's second return value.  In con-threads
 the delay of update k+1 is k minus the master version its push was computed
-at.  In incon-threads it is the number of other writes that landed between
-the worker's read (the applied-write count just before its copy) and its own
-write: delay is labelled after the read, the perturbed-iterate convention
-(Mania et al., arXiv 1507.06970).
+at.  In incon-threads the delay of write j is j - 1 - v_read, where v_read is
+the count of landed writes the worker read just before its copy: the writes
+that landed between its read and its own write.  The lock orders the writes,
+so the count is exact.  Delay is labelled after the read, the
+perturbed-iterate convention (Mania et al., arXiv 1507.06970).
 
 These two arrays are each run's whole schedule.  Every worker draws from its
 own streams, so the j-th update a worker applies used its j-th draws: a
@@ -62,8 +62,6 @@ import itertools
 import queue
 import threading
 import time
-
-import numpy as np
 
 from .core import (
     DelayStats,
@@ -172,8 +170,7 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
     pool = _WorkerPool(worker, cfg.workers, wake, rec)
     with pool:
         for k in range(cfg.K):
-            if rec.due(k):
-                rec.snap(k, x)
+            rec.snap(k, x)
             try:
                 push = pushes.get(timeout=_STALL_LIMIT)
             except queue.Empty:
@@ -191,64 +188,58 @@ def run_param_server(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
 # ------------------------------------------------------------ lock-free shared memory
 
 def run_lockfree_shared(p, cfg: RunConfig) -> tuple[Trace, DelayStats]:
-    """Inconsistent-read asynchronous SG on one shared vector, no locks.
+    """Inconsistent-read asynchronous SG on one shared vector, read without locks.
 
     Workers claim global iteration numbers from a shared counter, draw one
     coordinate i uniformly, copy x with no whole-vector guarantee, compute entry
     i of the M-sample gradient sum alone (`coordinate_gradient_sum`), and add
-    -gamma * g_i into coordinate i as a single indivisible operation.  The
-    run ends after exactly K claimed iterations, hence exactly K coordinate
-    writes.  Each landed write then draws its ordinal 1..K; the worker whose
-    ordinal is a multiple of checkpoint_every snapshots x on the spot, possibly
-    torn, so row k is taken once k writes have landed.  Row max_delay_observed
-    is the running max of the delays of writes 1..k, filled in after the run.
-    The calling thread joins the workers one `_STALL_LIMIT` window at a time
-    and declares the run hung when a whole window lands no write, so a stall
-    is detected between one and two windows after the last write.
+    -gamma * g_i into coordinate i.  The run ends after exactly K claimed
+    iterations, hence exactly K coordinate writes.  One short lock holds the
+    write, the bump of the count j of landed writes and, for j on the grid, the
+    copy of row j, so row j is x after exactly j writes; the workers' own
+    copies take no lock and may be torn.  Write j's delay is j - 1 - v_read,
+    v_read being the count the worker read just before its copy.  The calling
+    thread reads the count without the lock, joins the workers one
+    `_STALL_LIMIT` window at a time and declares the run hung when a whole
+    window lands no write, so a stall is detected between one and two windows
+    after the last write.
     """
     require_mode(cfg, "incon-threads")
-    if cfg.K >= 2**62:
-        raise ValueError("K too large for the shared iteration counter")
     x = p.x1
-    claims = itertools.count()          # next() is one atomic fetch-and-add under the GIL
-    # (ordinal, perf_counter reading) of each landed write: next() is one C call,
-    # so under the GIL rows stamped in ordinal order are stamped in time order too
-    landed = zip(itertools.count(1), iter(time.perf_counter, None))
-    applied = np.zeros(1, dtype=np.int64)  # count of landed coordinate writes
+    claims = itertools.count()  # next() is one atomic fetch-and-add under the GIL
+    lock = threading.Lock()     # one write, its count and its grid row at a time
+    writes = 0                  # landed coordinate writes
     rec = Recorder(p, cfg)
     gamma = rec.gamma
 
     def worker(w: int):
+        nonlocal writes
         rng_s = derive_stream(cfg.seeds, w, "sample")
         rng_c = derive_stream(cfg.seeds, w, "coord")
         while not pool.stop.is_set():
-            k = next(claims)
-            if k >= cfg.K:
+            if next(claims) >= cfg.K:
                 return
             i = int(rng_c.integers(p.n))  # own stream: drawing it first changes no draw
-            v_read = int(applied[0])
+            v_read = writes
             snap = x.copy()             # torn-capable: writers may land mid-copy
             xis = rng_s.integers(1, p.sample_count + 1, size=cfg.M)
             delta = -(gamma * p.coordinate_gradient_sum(snap, xis, i))
-            np.add.at(x, i, delta)      # indivisible single-coordinate add
-            v_apply = int(applied[0])
-            np.add.at(applied, 0, 1)
-            ordinal, stamp = next(landed)
-            rec.delays[ordinal], rec.worker_ids[ordinal] = v_apply - v_read, w
-            if ordinal < cfg.K and rec.due(ordinal):
-                rec.snap(ordinal, x, at=stamp)
+            with lock:
+                x[i] = x.item(i) + delta
+                writes += 1
+                j = writes
+                rec.snap(j, x)
+            rec.delays[j], rec.worker_ids[j] = j - 1 - v_read, w
 
     rec.snap(0, x)
     pool = _WorkerPool(worker, cfg.workers, lambda: None, rec)  # workers never block: nothing to wake
     with pool:
         last_seen = 0
         while not pool.wait(_STALL_LIMIT):  # a failing worker sets stop, so all exit
-            done = int(applied[0])
+            done = writes
             if done == last_seen:
                 raise EngineError(f"no write applied within {_STALL_LIMIT}s", rec.trace())
             last_seen = done
-    if int(applied[0]) != cfg.K:
-        raise EngineError(f"applied {int(applied[0])} writes, expected {cfg.K}", rec.trace())
-    trace = rec.finish(x, blas_threads=pool.blas_threads,  # quiescent: exact final iterate
-                       snapshots="rows are copied by the writing worker, unsynchronized, and may be torn")
-    return trace, rec.delay_stats()
+    if writes != cfg.K:
+        raise EngineError(f"landed {writes} writes, expected {cfg.K}", rec.trace())
+    return rec.finish(x, blas_threads=pool.blas_threads), rec.delay_stats()  # quiescent: exact final iterate

@@ -193,8 +193,7 @@ def run_serial_sg(p, cfg: RunConfig) -> Trace:
     for k0, k1 in _blocks(cfg.K):
         S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, cfg.M))
         for k, xis in zip(range(k0, k1), S):
-            if rec.due(k):
-                rec.snap(k, x)
+            rec.snap(k, x)
             g = p.batch_gradient_sum(x, xis)  # a new array: ours to change
             g *= gamma
             x = x - g
@@ -218,7 +217,7 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
     rng_delay = derive_stream(cfg.seeds, 0, "delay")
 
     x = p.x1
-    ring = HistoryRing(T)
+    ring = HistoryRing(min(T, cfg.K))  # reads stay in [k - min(k, T), k] for k < K
     ring.append(x)
     rec = Recorder(p, cfg)
     gamma = rec.gamma
@@ -226,8 +225,7 @@ def run_asysg_con_sim(p, cfg: RunConfig) -> Trace:
         S = rng_sample.integers(1, p.sample_count + 1, size=(k1 - k0, M))
         D = dm.draw(rng_delay, k0, k1 - k0, M, T).tolist()
         for k, xis, taus in zip(range(k0, k1), S, D):
-            if rec.due(k):
-                rec.snap(k, x)
+            rec.snap(k, x)
             if min(taus) < 0 or max(taus) > T:
                 raise EngineError(f"delay model produced tau outside [0, {T}]: {taus}", rec.trace())
             if k < T:
@@ -277,8 +275,7 @@ def _run_incon(p, cfg: RunConfig, sparse: bool):
             C = rng_coord.integers(p.n, size=k1 - k0).tolist()
         R = _read_masks(rm, rng_read, k0, k1, M, T)
         for b, k in enumerate(range(k0, k1)):
-            if rec.due(k):
-                rec.snap(k, x)
+            rec.snap(k, x)
             xis = S[b]
             w = min(k, T)
             lo = k - w

@@ -324,6 +324,50 @@ def test_workers_override_writes_delay_sidecar(tmp_path, capsys):
     assert "max_observed" in stats and "histogram" in stats
 
 
+@pytest.mark.parametrize("trace,out,field", [
+    ("", None, "output.trace"),
+    ("{d}/", None, "output.trace"),
+    ("{d}/run", "{d}/", "--out"),
+    ("{d}/run", "{d}/.csv", "--out"),
+    ("{d}/run", "{d}/.", "--out"),
+    ("{d}/run", "..", "--out"),
+], ids=["empty-trace", "dir-trace", "dir-out", "dir-out-csv", "dir-dot-out", "parent-out"])
+def test_run_refuses_a_stem_that_names_a_directory(tmp_path, capsys, monkeypatch, trace, out, field):
+    # such a stem would write hidden files: ./.r0.csv, d/.r0.csv or d/..r0.csv
+    monkeypatch.chdir(tmp_path)
+    d = str(tmp_path / "d")
+    doc = base_doc(tmp_path)
+    doc["output"]["trace"] = trace.format(d=d)
+    argv = ["run", "--config", write_config(tmp_path, doc)]
+    if out is not None:
+        argv += ["--out", out.format(d=d)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_unallocatable_update_log_exits_1(tmp_path, capsys, monkeypatch):
+    # K = 2**40 asks the recorder for an 8 TiB per-update log; numpy's
+    # MemoryError becomes an "error:" line, not a traceback
+    from asysg import cli
+
+    def engine(p, cfg):
+        assert cfg.K == 2**40
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627777,)")
+
+    monkeypatch.setitem(cli.ENGINES, "serial", engine)
+    cfg = write_config(tmp_path, base_doc(tmp_path))
+    assert main(["run", "--config", cfg, "--override", f"algorithm.K={2**40}"]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 8.00 TiB")
+
+
+def test_update_log_past_numpy_limit_exits_2(tmp_path, capsys):
+    # numpy refuses a (2**60 + 1)-entry int64 array before allocating anything
+    cfg = write_config(tmp_path, base_doc(tmp_path))
+    assert main(["run", "--config", cfg, "--override", f"algorithm.K={2**60}"]) == 2
+    assert capsys.readouterr().err.startswith("error: array is too big")
+
+
 def test_override_reaches_nested_gamma_value(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc(tmp_path))
     assert main(["run", "--config", cfg, "--override", "algorithm.gamma.value=0.02"]) == 0
@@ -579,6 +623,15 @@ def test_plotdata_writes_curve_files(tmp_path, capsys):
     assert any(p.endswith("gradsq_vs_k.dat") for p in paths)
     lines = (tmp_path / "plots" / "t.gradsq_vs_k.dat").read_text().strip().split("\n")
     assert lines[0].split() == ["0", "4"]
+
+
+def test_plotdata_refuses_an_out_stem_that_names_a_directory(tmp_path, capsys):
+    # "plots/" would write plots/.f_vs_k.dat and its siblings
+    trace = write_trace(tmp_path, "t.csv", [0, 10], [4.0, 1.0], [0.0, 2.0])
+    (tmp_path / "plots").mkdir()
+    assert main(["plotdata", "--trace", trace, "--out", str(tmp_path / "plots") + os.sep]) == 2
+    assert capsys.readouterr().err.startswith("error: --out:")
+    assert os.listdir(tmp_path / "plots") == []
 
 
 def test_plotdata_missing_trace_exits_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from asysg.core import (
     GammaRule,
     HistoryRing,
+    Recorder,
     RunConfig,
     SeedSpec,
     Trace,
@@ -15,6 +16,7 @@ from asysg.core import (
     derive_stream,
 )
 from asysg.engines_sim import DelayModel, ReadModel
+from asysg.problems import make_noisy_quadratic
 
 
 # ---------------------------------------------------------------- streams
@@ -263,3 +265,16 @@ def test_trace_validate_accepts_a_running_max_delay_and_zero_gamma():
 def test_trace_equality_ignores_meta():
     rows = [TraceRow(0, 0.0, 1.0, 2.0, 0.1, 0)]
     assert Trace(rows, {"a": 1}) == Trace(rows, {"b": 2})
+
+
+# ---------------------------------------------------------------- recorder
+
+def test_recorder_snap_owns_the_grid_and_finish_stamps_K_once():
+    p = make_noisy_quadratic(n=3, N=4)
+    rec = Recorder(p, RunConfig(mode="serial", K=10, checkpoint_every=3))
+    for k in range(15):  # off the grid, k = K and past K are no-ops
+        rec.snap(k, p.x1 + k)
+    trace = rec.finish(p.x1 + 10)
+    assert [r.k for r in trace.rows] == [0, 3, 6, 9, 10]
+    assert trace.meta["x_final"].tobytes() == (p.x1 + 10).tobytes()
+    assert [r.f for r in trace.rows] == [p.objective(p.x1 + k) for k in (0, 3, 6, 9, 10)]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from test_problems import _openblas_threads
 
-from asysg import engines_parallel, theory
+from asysg import core, engines_parallel, theory
 from asysg.core import EngineError, GammaRule, RunConfig, SeedSpec, blas_threads, delay_stats, derive_stream
 from asysg.engines_parallel import run_lockfree_shared, run_param_server
 from asysg.engines_sim import DelayModel, ReadModel, run_asysg_con_sim, run_asysg_incon_sim
@@ -261,6 +261,31 @@ def test_lockfree_applies_exactly_k_writes(every):
     assert trace.rows[0].f == p.objective(p.x1)
     assert trace.rows[-1].max_delay_observed == stats.max_observed
     trace.validate()                                # t stays monotone with 4 snapshotting workers
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_lockfree_row_j_is_x_after_exactly_j_writes(monkeypatch, workers):
+    # a grid row is copied inside the write's critical section, so row j holds
+    # writes 1..j and no other: consecutive rows differ in at most one coordinate
+    recorders = []
+    finish = core.Recorder.finish
+
+    def spy(rec, x, **meta):
+        recorders.append(rec)
+        return finish(rec, x, **meta)
+
+    monkeypatch.setattr(core.Recorder, "finish", spy)
+    p = make_noisy_quadratic(n=20, sigma=1.0, N=64)
+    K = 3000
+    _, stats = run_lockfree_shared(p, tcfg("incon-threads", K=K, M=1, gamma=0.02, workers=workers))
+    [rec] = recorders
+    rows = sorted(rec._snaps, key=lambda s: s[0])
+    assert [k for k, _, _ in rows] == list(range(K + 1))
+    moved = [int(np.count_nonzero(b != a)) for (_, _, a), (_, _, b) in zip(rows, rows[1:])]
+    assert max(moved) <= 1
+    assert [t for _, t, _ in rows] == sorted(t for _, t, _ in rows)  # stamped in write order
+    assert (rec.delays[1:] <= np.arange(K)).all()  # write j missed at most the j - 1 before it
+    assert stats.total == K
 
 
 @pytest.mark.parametrize("problem", ["quadratic", "mlp"])

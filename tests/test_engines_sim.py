@@ -239,6 +239,24 @@ def test_con_sim_trace_respects_delay_cap():
     assert max(tr.column("max_delay_observed")) <= 5
 
 
+@pytest.mark.parametrize("T,horizon", [(10**7, 5), (3, 3)])
+def test_con_sim_ring_is_sized_by_the_run(monkeypatch, T, horizon):
+    # reads stay in [k - min(k, T), k] for k < K, so min(T, K) past iterates
+    # suffice: a K=5 run at T=10**7 needs no ring of 10**7 + 1 slots
+    horizons = []
+
+    class Spy(engines_sim.HistoryRing):
+        def __init__(self, h):
+            horizons.append(h)
+            super().__init__(h)
+
+    monkeypatch.setattr(engines_sim, "HistoryRing", Spy)
+    p = make_noisy_quadratic(n=4, sigma=0.5, N=8)
+    tr = run_asysg_con_sim(p, cfg_for("con-sim", K=5, M=2, gamma=0.1, T=T, dm=DelayModel.uniform()))
+    assert horizons == [horizon]
+    assert [r.k for r in tr.rows] == list(range(6))
+
+
 # ------------------------------------------------------------ inconsistent-read sim
 
 def _redraw(p, cfg):

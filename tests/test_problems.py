@@ -687,7 +687,7 @@ _META = {"mode", "problem", "seed", "gamma", "workers", "config_fingerprint", "d
 _ENGINE_META = {"incon-sim": {"sparse_skips", "coords", "deltas"},
                 "incon-sparse-sim": {"sparse_skips", "coords", "deltas"},
                 "con-threads": {"blas_threads"},
-                "incon-threads": {"blas_threads", "snapshots"}}
+                "incon-threads": {"blas_threads"}}
 
 
 @pytest.mark.parametrize("mode", MODES)
