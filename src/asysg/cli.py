@@ -29,7 +29,7 @@ figures for their configs assume a T the run does not enforce.  Simulator
 modes write t=0 in every row (they have no meaningful wall clock), which keeps
 reruns bit-identical.
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid input.
+Exit codes: 0 success, 1 runtime failure, 2 invalid input; `main` maps each error to its code.
 """
 from __future__ import annotations
 
@@ -225,10 +225,16 @@ def parse_config(doc: dict):
 
 
 def _stem(path: str, field: str) -> str:
-    """`path` minus a trailing ".csv"; a stem naming a directory (hidden outputs) is refused."""
+    """`path` minus a trailing ".csv"; refused unless it names a file (hidden outputs, NUL)."""
     stem = path[:-4] if path.endswith(".csv") else path
     if os.path.basename(stem) in ("", ".", ".."):
         raise ConfigError(f"{field}: output stem {path!r} names a directory, not a file")
+    if "\0" in stem:
+        raise ConfigError(f"{field}: output stem {path!r} holds a NUL byte")
+    try:
+        os.fsencode(stem)  # a JSON \u escape can write a surrogate no file name holds
+    except UnicodeEncodeError as e:
+        raise ConfigError(f"{field}: output stem {path!r}: {e.reason}") from None
     return stem
 
 
@@ -284,72 +290,71 @@ ENGINES = {
 }
 
 
-def cmd_run(args) -> int:
+def _load(args):
+    """The config file with its overrides, parsed: (problem, RunConfig, trace stem, replicates)."""
+    return parse_config(apply_overrides(load_config(args.config), args.override or []))
+
+
+def _read_trace(path: str) -> Trace:
+    """read_trace_csv, with a file that cannot be read reported as invalid input."""
     try:
-        doc = apply_overrides(load_config(args.config), args.override or [])
-        problem, cfg, stem, replicates = parse_config(doc)
-        if args.out is not None:
-            stem = _stem(args.out, "--out")
-        if args.seeds is not None:
-            if args.seeds < 1:
-                raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-            replicates = args.seeds
-        master = cfg.seeds.master_seed
-        try:
-            SeedSpec(master + replicates - 1)
-        except ValueError as e:
-            raise ConfigError(f"seeds.master_seed: the last of {replicates} replicates "
-                              f"runs with seed {master} + {replicates - 1}: {e}") from None
-        try:  # a derived steplength needs the problem's constants: refused here, before any output
-            resolve_gamma(cfg, problem)
-        except ValueError as e:
-            raise ConfigError(f"algorithm.gamma: {e}") from None
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        return read_trace_csv(path)
+    except OSError as e:
+        raise TraceParseError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise TraceParseError(f"{path}: {e}") from None
+
+
+def cmd_run(args) -> int:
+    problem, cfg, stem, replicates = _load(args)
+    if args.out is not None:
+        stem = _stem(args.out, "--out")
+    if args.seeds is not None:
+        if args.seeds < 1:
+            raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+        replicates = args.seeds
+    master = cfg.seeds.master_seed
+    try:
+        SeedSpec(master + replicates - 1)
+    except ValueError as e:
+        raise ConfigError(f"seeds.master_seed: the last of {replicates} replicates "
+                          f"runs with seed {master} + {replicates - 1}: {e}") from None
+    try:  # a derived steplength needs the problem's constants: refused here, before any output
+        resolve_gamma(cfg, problem)
+    except ValueError as e:
+        raise ConfigError(f"algorithm.gamma: {e}") from None
 
     out_dir = os.path.dirname(stem)
-    try:
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        for r in range(replicates):
-            cfg_r = dataclasses.replace(cfg, seeds=SeedSpec(master + r))
-            with warnings.catch_warnings():
-                # a diverging run overflows before the recorder stops it with an
-                # EngineError; its "error:" line, not numpy's warnings, reports it
-                warnings.filterwarnings("ignore", r"(overflow|invalid value|divide by zero) encountered",
-                                        RuntimeWarning)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    for r in range(replicates):
+        cfg_r = dataclasses.replace(cfg, seeds=SeedSpec(master + r))
+        with warnings.catch_warnings():
+            # a diverging run overflows before the recorder stops it with an
+            # EngineError; its "error:" line, not numpy's warnings, reports it
+            warnings.filterwarnings("ignore", r"(overflow|invalid value|divide by zero) encountered",
+                                    RuntimeWarning)
+            try:
                 out = ENGINES[cfg.mode](problem, cfg_r)
-            if cfg.mode in SIM_MODES:  # t=0 in every row keeps reruns bit-identical
-                out = Trace([dataclasses.replace(row, t=0.0) for row in out.rows], out.meta), None
-            trace, stats = out
-            path = f"{stem}.r{r}.csv"
-            write_trace_csv(trace, path)
-            print(path)
-            if stats is not None:
-                side = f"{stem}.r{r}.delays.json"
-                with open(side, "w", encoding="utf-8") as fh:
-                    json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(side)
-    except (EngineError, OSError, MemoryError) as e:  # MemoryError: the per-update log of a huge K
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ValueError as e:
-        # a config no engine can run, as numpy's "array is too big" for the
-        # recorder's per-update log at K >= 2**60
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+            except ValueError as e:  # a K no per-update log can hold: numpy's "array is too big"
+                raise ConfigError(str(e)) from None
+        if cfg.mode in SIM_MODES:  # t=0 in every row keeps reruns bit-identical
+            out = Trace([dataclasses.replace(row, t=0.0) for row in out.rows], out.meta), None
+        trace, stats = out
+        path = f"{stem}.r{r}.csv"
+        write_trace_csv(trace, path)
+        print(path)
+        if stats is not None:
+            side = f"{stem}.r{r}.delays.json"
+            with open(side, "w", encoding="utf-8") as fh:
+                json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            print(side)
     return EXIT_OK
 
 
 def cmd_theory(args) -> int:
-    try:
-        doc = apply_overrides(load_config(args.config), args.override or [])
-        problem, cfg, _, _ = parse_config(doc)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+    problem, cfg, _, _ = _load(args)
     try:
         report = build_theory_report(
             gap=problem.gap,
@@ -363,29 +368,22 @@ def cmd_theory(args) -> int:
             L_max=problem.L_max,
             constants_estimated=problem.constants_estimated,
         )
-    except (ValueError, AttributeError) as e:
-        print(f"error: constants unavailable for this setup: {e}", file=sys.stderr)
-        return EXIT_INVALID
+    except ValueError as e:
+        raise ConfigError(f"constants unavailable for this setup: {e}") from None
     print(report.to_json())
     return EXIT_OK
 
 
 def cmd_speedup(args) -> int:
     if not (math.isfinite(args.epsilon) and args.epsilon > 0):
-        print(f"error: --epsilon must be positive and finite, got {args.epsilon}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        baseline = read_trace_csv(args.baseline)
-        parallel = []
-        for item in args.parallel:
-            workers_str, sep, path = item.partition(":")
-            if not sep or not (workers_str.isascii() and workers_str.isdigit()) or int(workers_str) < 1:
-                print(f"error: --parallel expects WORKERS:PATH, got {item!r}", file=sys.stderr)
-                return EXIT_INVALID
-            parallel.append((int(workers_str), read_trace_csv(path)))
-    except (TraceParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ConfigError(f"--epsilon must be positive and finite, got {args.epsilon}")
+    baseline = _read_trace(args.baseline)
+    parallel = []
+    for item in args.parallel:
+        workers_str, sep, path = item.partition(":")
+        if not sep or not (workers_str.isascii() and workers_str.isdigit()) or int(workers_str) < 1:
+            raise ConfigError(f"--parallel expects WORKERS:PATH, got {item!r}")
+        parallel.append((int(workers_str), _read_trace(path)))
     if iterations_to_target(baseline, args.epsilon) is None:
         print(f"error: baseline never reaches gradsq <= {args.epsilon}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -396,21 +394,13 @@ def cmd_speedup(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    try:
-        stem = _stem(args.trace, "--trace") if args.out is None else _stem(args.out, "--out")
-        trace = read_trace_csv(args.trace)
-    except (ConfigError, TraceParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
+    stem = _stem(args.trace, "--trace") if args.out is None else _stem(args.out, "--out")
+    trace = _read_trace(args.trace)
     out_dir = os.path.dirname(stem)
-    try:
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        for path in write_plot_data(trace, stem):
-            print(path)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    for path in write_plot_data(trace, stem):
+        print(path)
     return EXIT_OK
 
 
@@ -449,8 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place an error becomes an exit code, any other exception a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, TraceParseError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except (EngineError, OSError, MemoryError) as e:  # MemoryError: a problem or per-update log too large
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

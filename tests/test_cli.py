@@ -368,6 +368,42 @@ def test_update_log_past_numpy_limit_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: array is too big")
 
 
+@pytest.mark.parametrize("command", ["run", "theory"])
+def test_problem_too_large_for_memory_exits_1(tmp_path, capsys, monkeypatch, command):
+    # a problem.n too large to allocate; the factory raises instead of allocating
+    from asysg import cli
+
+    def make(**fields):
+        raise MemoryError("Unable to allocate 72.8 PiB for an array with shape (100000000, 100000000)")
+
+    monkeypatch.setitem(cli.PROBLEM, "noisy_quadratic", (make, cli.PROBLEM["noisy_quadratic"][1]))
+    cfg = write_config(tmp_path, base_doc(tmp_path))
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 72.8 PiB") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("trace,out,field", [
+    ("nul/a\0b", None, "output.trace"),
+    ("sur/a\ud800b", None, "output.trace"),
+    ("run", "nul/a\0b", "--out"),
+], ids=["nul-trace", "surrogate-trace", "nul-out"])
+def test_run_refuses_a_stem_no_file_name_holds(tmp_path, tmp_path_factory, capsys, monkeypatch,
+                                              trace, out, field):
+    # JSON's \u0000 and \ud800 escapes reach the stem; refused before nul/ or sur/ is made
+    monkeypatch.chdir(tmp_path)
+    doc = base_doc(tmp_path)
+    doc["output"]["trace"] = trace
+    argv = ["run", "--config", write_config(tmp_path_factory.mktemp("cfg"), doc)]
+    if out is not None:
+        argv += ["--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: output stem ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_override_reaches_nested_gamma_value(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc(tmp_path))
     assert main(["run", "--config", cfg, "--override", "algorithm.gamma.value=0.02"]) == 0
@@ -514,6 +550,18 @@ def test_theory_at_n60_t4_settles_l_t_at_l(capsys):
     assert data["gamma_eq17"] == steplength_corollary4(p.gap, 60, 100, p.L, 1, math.sqrt(p.sigma_sq))
 
 
+def test_theory_lets_a_bug_raise(tmp_path, monkeypatch):
+    # only a bug raises AttributeError; it is not "constants unavailable" with exit 2
+    from asysg import cli
+
+    def report(**inputs):
+        raise AttributeError("'NoisyQuadratic' object has no attribute 'L_max'")
+
+    monkeypatch.setattr(cli, "build_theory_report", report)
+    with pytest.raises(AttributeError, match="L_max"):
+        main(["theory", "--config", write_config(tmp_path, base_doc(tmp_path))])
+
+
 # ------------------------------------------------------------ speedup command
 
 def write_trace(tmp_path, name, ks, gradsqs, ts):
@@ -637,6 +685,62 @@ def test_plotdata_refuses_an_out_stem_that_names_a_directory(tmp_path, capsys):
 def test_plotdata_missing_trace_exits_2(tmp_path, capsys):
     assert main(["plotdata", "--trace", str(tmp_path / "nope.csv")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["speedup", "plotdata"])
+def test_trace_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe\x00")
+    argv = {"speedup": ["speedup", "--baseline", str(bad), "--parallel", f"2:{bad}", "--epsilon", "1"],
+            "plotdata": ["plotdata", "--trace", str(bad), "--out", str(tmp_path / "plots" / "t")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode") and err.count("\n") == 1
+    assert not (tmp_path / "plots").exists()
+
+
+# ------------------------------------------------------------ one error line per error site
+
+_QUAD = {"type": "noisy_quadratic", "n": 6, "N": 16, "sigma": 0.5}
+_ALG = {"mode": "serial", "K": 20, "M": 1, "gamma": 0.05}
+_CON_SIM = {**_ALG, "mode": "con-sim", "T": 1}
+_RUN = ["run", "--config", "{cfg}"]
+
+
+# config document, command line ({cfg}: the config's path, {d}: the test's
+# directory, {trace}: a valid trace there), exit code, what the error line names
+@pytest.mark.parametrize("doc,argv,code,names", [
+    ({"problem": _QUAD, "algorithm": {**_ALG, "mode": 5}}, _RUN, 2, "algorithm.mode:"),
+    ({"problem": {"type": "mlp", "widths": "abc"}, "algorithm": _ALG}, _RUN, 2, "problem.widths:"),
+    ({"problem": _QUAD, "algorithm": []}, _RUN, 2, "algorithm: expected an object"),
+    ({"problem": _QUAD, "algorithm": {**_CON_SIM, "delay_model": 3}}, _RUN, 2, "algorithm.delay_model:"),
+    ({"problem": _QUAD, "algorithm": {**_CON_SIM, "delay_model": {}}}, _RUN, 2,
+     "algorithm.delay_model.kind:"),
+    ({"problem": _QUAD, "algorithm": {**_CON_SIM, "delay_model": {"kind": "uniform"}}},
+     [*_RUN, "--override", "algorithm.workers=2"], 2, "algorithm: sim mode 'con-sim' requires workers=1, got 2"),
+    ({"algorithm": _ALG}, _RUN, 2, "config.problem:"),
+    ([], _RUN, 2, "config {cfg}: top level"),
+    ({"problem": _QUAD, "algorithm": _ALG}, [*_RUN, "--override", "algorithm.K.x=1"], 2,
+     "override 'algorithm.K.x=1': K is not an object"),
+    ({"problem": _QUAD, "algorithm": _ALG}, [*_RUN, "--seeds", "0"], 2, "--seeds"),
+    ({"problem": _QUAD, "algorithm": _ALG}, ["theory", "--config", "{cfg}", "--override", "algorithm.M=0"], 2,
+     "algorithm.M"),
+    (None, ["speedup", "--baseline", "{d}/nope.csv", "--parallel", "2:{trace}", "--epsilon", "1"], 2,
+     "{d}/nope.csv"),
+    (None, ["plotdata", "--trace", "{trace}", "--out", "{trace}/sub/x"], 1, "Not a directory: '{trace}/sub'"),
+], ids=["mode-not-a-string", "widths-not-a-list", "algorithm-not-an-object", "delay-model-not-an-object",
+        "delay-model-without-kind", "con-sim-with-two-workers", "problem-missing", "top-level-not-an-object",
+        "override-into-a-number", "seeds-0", "theory-M-0", "speedup-missing-baseline", "plotdata-out-under-a-file"])
+def test_error_line_names_its_field_or_file(tmp_path, capsys, monkeypatch, doc, argv, code, names):
+    monkeypatch.chdir(tmp_path)  # a config without an output section writes ./trace.r0.csv
+    where = {"cfg": str(tmp_path / "cfg.json"), "d": str(tmp_path),
+             "trace": write_trace(tmp_path, "t.csv", [0, 10], [4.0, 1.0], [0.0, 2.0])}
+    if doc is not None:
+        write_config(tmp_path, doc)
+    assert main([a.format(**where) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert names.format(**where) in err
 
 
 # ------------------------------------------------------------ shipped configs

@@ -370,6 +370,15 @@ def test_report_below_threshold_gives_none_with_note():
     assert any("threshold" in note for note in rep.notes)
 
 
+def test_report_past_kmin_eq18_gives_bound_eq19():
+    # kmin_eq18 = ceil(16 * 1 * 1 * 1 * (4**1.5 + 0) / (2 * 1)) = 64 <= K
+    rep = build_theory_report(gap=1, M=1, L=1, K=100, sigma_sq=1, T=0, n=4, L_T=1, L_max=1)
+    assert rep.kmin_eq18 == 64
+    assert rep.bound_eq19 == bound_incon(1, 4, 100, 1, 0, 1, 1, 1, rep.gamma_eq17, "cor4")
+    assert rep.bound_eq19 == pytest.approx(math.sqrt(2.88))
+    assert not any(note.startswith("bound_eq19 skipped") for note in rep.notes)
+
+
 def test_smoothness_constants_frozen():
     c = SmoothnessConstants(L=1.0, L_max=1.0, L_s={1: 1.0})
     with pytest.raises(AttributeError):
