@@ -241,6 +241,8 @@ def _stem(path: str, field: str) -> str:
 # ------------------------------------------------------------ config file + overrides
 
 def load_config(path: str) -> dict:
+    if "\0" in path:
+        raise ConfigError(f"config {path!r} holds a NUL byte")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -297,6 +299,8 @@ def _load(args):
 
 def _read_trace(path: str) -> Trace:
     """read_trace_csv, with a file that cannot be read reported as invalid input."""
+    if "\0" in path:
+        raise TraceParseError(f"trace {path!r} holds a NUL byte")
     try:
         return read_trace_csv(path)
     except OSError as e:
@@ -334,10 +338,7 @@ def cmd_run(args) -> int:
             # EngineError; its "error:" line, not numpy's warnings, reports it
             warnings.filterwarnings("ignore", r"(overflow|invalid value|divide by zero) encountered",
                                     RuntimeWarning)
-            try:
-                out = ENGINES[cfg.mode](problem, cfg_r)
-            except ValueError as e:  # a K no per-update log can hold: numpy's "array is too big"
-                raise ConfigError(str(e)) from None
+            out = ENGINES[cfg.mode](problem, cfg_r)
         if cfg.mode in SIM_MODES:  # t=0 in every row keeps reruns bit-identical
             out = Trace([dataclasses.replace(row, t=0.0) for row in out.rows], out.meta), None
         trace, stats = out

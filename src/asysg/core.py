@@ -27,6 +27,8 @@ SIM_MODES = ("serial", "con-sim", "incon-sim", "incon-sparse-sim")
 MODEL_OF_MODE = {"con-sim": "delay_model", "incon-sim": "read_model", "incon-sparse-sim": "read_model"}
 
 GAMMA_KINDS = ("constant", "corollary2", "corollary4")
+# the largest K whose per-update log (K+1 int64s, `Recorder`) numpy can shape
+K_MAX = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize - 1
 
 try:  # dlsym on numpy's extension module handle also searches the libraries it links
     _blas = ctypes.CDLL(np._core._multiarray_umath.__file__)
@@ -179,8 +181,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        if not 1 <= self.K <= K_MAX:
+            raise ValueError(f"K must be in [1, {K_MAX}], the most a per-update log can hold, got {self.K}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
         if self.T < 0:

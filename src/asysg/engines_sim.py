@@ -54,20 +54,29 @@ from .core import (
 
 # ------------------------------------------------------------ delay / read models
 
+def _check_fields(model: str, kind: str, reads: dict, **fields) -> None:
+    """Refuse an unknown kind, a field the kind reads left unset, and a field set
+    that the kind does not read: every value set is one the draw reads."""
+    if kind not in reads:
+        raise ValueError(f"{model} kind must be one of {tuple(reads)}, got {kind!r}")
+    for name, value in fields.items():
+        if (value is None) == (name in reads[kind]):
+            raise ValueError(f"{name} is {'required' if value is None else 'not read'} by the {kind} {model}")
+
+
 @dataclass(frozen=True)
 class DelayModel:
     """Per-(k, m) staleness rule for consistent reads: fixed(tau), uniform over 0..T,
-    or the round-robin cyclic pattern tau = k mod (T+1)."""
+    or the round-robin cyclic pattern tau = k mod (T+1); only fixed takes a tau."""
 
     kind: str
-    tau: int = 0
+    tau: int | None = None
 
-    KINDS = ("fixed", "uniform", "cyclic")
+    KINDS = {"fixed": ("tau",), "uniform": (), "cyclic": ()}  # the fields each kind reads
 
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise ValueError(f"delay model kind must be one of {self.KINDS}, got {self.kind!r}")
-        if self.tau < 0:
+        _check_fields("delay model", self.kind, self.KINDS, tau=self.tau)
+        if self.tau is not None and self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
     def validate(self, T: int) -> None:
@@ -107,20 +116,20 @@ class ReadModel:
     prefix(tau): J(k, m) = {k-1, ..., k-tau_eff}, the tau most recent updates.
     random-subset(p): every j in the window {k-T .. k-1} is missed independently
     with probability p.
+    Each kind requires the one field it reads and refuses the other.
     """
 
     kind: str
-    tau: int = 0
-    p: float = 0.5
+    tau: int | None = None
+    p: float | None = None
 
-    KINDS = ("prefix", "random-subset")
+    KINDS = {"prefix": ("tau",), "random-subset": ("p",)}  # the fields each kind reads
 
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise ValueError(f"read model kind must be one of {self.KINDS}, got {self.kind!r}")
-        if self.tau < 0:
+        _check_fields("read model", self.kind, self.KINDS, tau=self.tau, p=self.p)
+        if self.tau is not None and self.tau < 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if not 0.0 <= self.p <= 1.0:
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be a probability in [0, 1], got {self.p}")
 
     def validate(self, T: int) -> None:

@@ -22,6 +22,9 @@ INCON_BOUND_VARIANTS = ("thm3", "thm3-appendix", "cor4", "sparse")
 # the enumeration for the 20-dim quadratic set a new peak RSS (+0.6 MB); that
 # diagonal quadratic no longer enumerates, since its top column reaches L.
 EIGH_BLOCK_ENTRIES = 1 << 14
+# Supports `constants_quadratic` may enumerate over all requested sizes; past
+# it only the bound L_s <= L holds.
+ENUMERATION_LIMIT = 3_000_000
 
 
 def _require_positive(**kw) -> None:
@@ -47,11 +50,7 @@ class SmoothnessConstants:
     L_s: dict[int, float]
 
 
-def constants_quadratic(
-    Q: np.ndarray,
-    s_values: Sequence[int] | None = None,
-    enumeration_limit: int = 3_000_000,
-) -> SmoothnessConstants:
+def constants_quadratic(Q: np.ndarray, s_values: Sequence[int] | None = None) -> SmoothnessConstants:
     """Exact smoothness constants of f(x) = 0.5 (x-c)' Q (x-c).
 
     L is the spectral norm of Q, L_max the largest |Q_ii|, and L_s the maximum
@@ -62,8 +61,8 @@ def constants_quadratic(
     solved.  Otherwise all C(n, s) supports are stacked and solved by one batched
     eigensolve per block of at most EIGH_BLOCK_ENTRIES matrix entries.  Each
     matrix goes through the same LAPACK routine as a single solve would, so
-    every L_s is the float a per-support loop gives.  The limit counts all
-    C(n, s) supports, shortcut or not, and raises before any eigensolve.
+    every L_s is the float a per-support loop gives.  ENUMERATION_LIMIT counts
+    all C(n, s) supports, shortcut or not, and raises before any eigensolve.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -78,9 +77,9 @@ def constants_quadratic(
         raise ValueError(f"support sizes must lie in 1..{n}, got {s_values}")
 
     total = sum(math.comb(n, s) for s in s_values)
-    if total > enumeration_limit:
+    if total > ENUMERATION_LIMIT:
         raise ValueError(
-            f"support enumeration needs {total} subsets (> {enumeration_limit}); "
+            f"support enumeration needs {total} subsets (> {ENUMERATION_LIMIT}); "
             "without it only the bound L_s <= L holds"
         )
 
@@ -307,17 +306,7 @@ class TheoryReport:
     bound_eq19: float | None
     bound_eq20: float | None
     constants: str  # "exact" or "estimated"
-    inputs: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-
-    def verify(self) -> bool:
-        """Re-evaluate both condition booleans from the stored inputs."""
-        i = self.inputs
-        ok7 = check_condition_thm1(self.gamma_eq9, i["L"], i["M"], i["T"])
-        ok15 = check_condition_thm3(
-            self.gamma_eq17, i["M"], i["T"], i["L_T"], i["L_max"], i["n"]
-        )
-        return ok7 == self.cond_eq7 and ok15 == self.cond_eq15
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in REPORT_KEYS}
@@ -325,8 +314,8 @@ class TheoryReport:
         d["notes"] = list(self.notes)
         return d
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def build_theory_report(
@@ -339,10 +328,10 @@ def build_theory_report(
     n: int,
     L_T: float,
     L_max: float,
-    g0max: float | None = None,
     constants_estimated: bool = False,
 ) -> TheoryReport:
-    """Evaluate every report key; bounds whose precondition fails come back None with a note."""
+    """Evaluate every report key; bounds whose precondition fails come back None with a note.
+    bound_eq20 takes g0max = n, the largest support an aggregated gradient can have."""
     notes: list[str] = []
     gamma9 = steplength_corollary2(gap, M, L, K, sigma_sq)
     kmin10 = k_threshold_corollary2(gap, M, L, sigma_sq, T)
@@ -370,8 +359,7 @@ def build_theory_report(
     else:
         b19 = None
         notes.append(f"bound_eq19 skipped: K={K} below threshold {kmin18}")
-    g0 = float(n) if g0max is None else float(g0max)
-    b20 = bound_incon(gap, n, K, M, T, L_T, L_max, sigma_sq, gamma17, "sparse", g0max=g0)
+    b20 = bound_incon(gap, n, K, M, T, L_T, L_max, sigma_sq, gamma17, "sparse", g0max=float(n))
 
     return TheoryReport(
         gamma_eq9=gamma9,
@@ -386,6 +374,5 @@ def build_theory_report(
         bound_eq19=b19,
         bound_eq20=b20,
         constants="estimated" if constants_estimated else "exact",
-        inputs=dict(gap=gap, M=M, L=L, K=K, sigma_sq=sigma_sq, T=T, n=n, L_T=L_T, L_max=L_max, g0max=g0),
         notes=notes,
     )

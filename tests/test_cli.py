@@ -362,10 +362,37 @@ def test_unallocatable_update_log_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_update_log_past_numpy_limit_exits_2(tmp_path, capsys):
-    # numpy refuses a (2**60 + 1)-entry int64 array before allocating anything
+    # numpy cannot shape a (2**60 + 1)-entry int64 log; RunConfig refuses that K
+    # before any directory is made
     cfg = write_config(tmp_path, base_doc(tmp_path))
     assert main(["run", "--config", cfg, "--override", f"algorithm.K={2**60}"]) == 2
-    assert capsys.readouterr().err.startswith("error: array is too big")
+    assert capsys.readouterr().err.startswith("error: algorithm.K must be in [1, ")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_value_error_from_a_run_is_a_bug_and_raises(tmp_path, monkeypatch):
+    # every input is checked before the first run; a ValueError during one is a bug
+    from asysg.problems import NoisyQuadratic
+
+    def boom(self, x, xis):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(NoisyQuadratic, "batch_gradient_sum", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["run", "--config", write_config(tmp_path, base_doc(tmp_path))])
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["run", "--config", "a\0b.json"], "config 'a\\x00b.json'"),
+    (["theory", "--config", "a\0b.json"], "config 'a\\x00b.json'"),
+    (["speedup", "--baseline", "a\0b.csv", "--parallel", "2:t.csv", "--epsilon", "1"], "trace 'a\\x00b.csv'"),
+    (["plotdata", "--trace", "a\0b.csv", "--out", "d/x"], "trace 'a\\x00b.csv'"),
+], ids=["run", "theory", "speedup", "plotdata"])
+def test_input_path_with_a_nul_byte_exits_2(tmp_path, capsys, monkeypatch, argv, path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path} holds a NUL byte\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command", ["run", "theory"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asysg.core import (
+    K_MAX,
     GammaRule,
     HistoryRing,
     Recorder,
@@ -179,6 +180,15 @@ def test_runconfig_bounds():
         _cfg(checkpoint_every=0)
     with pytest.raises(ValueError):
         _cfg(mode="magic")
+
+
+def test_runconfig_K_stops_at_the_update_log_numpy_can_shape():
+    # nothing is allocated: numpy refuses the shape one past the limit before any malloc
+    assert _cfg(K=K_MAX).K == K_MAX
+    with pytest.raises(ValueError, match=rf"^K must be in \[1, {K_MAX}\], .* got {K_MAX + 1}$"):
+        _cfg(K=K_MAX + 1)
+    with pytest.raises(ValueError, match="array is too big"):
+        np.empty(K_MAX + 2, dtype=np.int64)  # the log of K_MAX + 1 updates
 
 
 def test_runconfig_sim_modes_single_worker():

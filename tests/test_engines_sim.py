@@ -46,6 +46,32 @@ def test_delay_model_validation():
     DelayModel.cyclic().validate(5)
 
 
+_REPORT = dict(gap=1, M=1, L=1, K=100, sigma_sq=1, T=3, n=4, L_T=1, L_max=1)
+
+
+# every value the asynchrony models and the theory layer accept is one their code reads
+@pytest.mark.parametrize("make,exc,match", [
+    (lambda: DelayModel("uniform", tau=99), ValueError, r"^tau is not read by the uniform delay model"),
+    (lambda: DelayModel("cyclic", tau=0), ValueError, r"^tau is not read by the cyclic delay model"),
+    (lambda: DelayModel("fixed"), ValueError, r"^tau is required by the fixed delay model"),
+    (lambda: ReadModel("random-subset", tau=99, p=0.3), ValueError,
+     r"^tau is not read by the random-subset read model"),
+    (lambda: ReadModel("random-subset"), ValueError, r"^p is required by the random-subset read model"),
+    (lambda: ReadModel("prefix", tau=1, p=0.9), ValueError, r"^p is not read by the prefix read model"),
+    (lambda: ReadModel("prefix"), ValueError, r"^tau is required by the prefix read model"),
+    (lambda: theory.build_theory_report(**_REPORT, g0max=2.0), TypeError, "g0max"),
+    (lambda: theory.build_theory_report(**_REPORT).to_json(indent=None), TypeError, "indent"),
+    (lambda: theory.constants_quadratic(np.eye(2), enumeration_limit=10), TypeError, "enumeration_limit"),
+    (lambda: theory.build_theory_report(**_REPORT).inputs, AttributeError, "inputs"),
+    (lambda: theory.build_theory_report(**_REPORT).verify(), AttributeError, "verify"),
+], ids=["uniform-tau", "cyclic-tau", "fixed-no-tau", "random-subset-tau", "random-subset-no-p",
+        "prefix-p", "prefix-no-tau", "report-g0max", "to-json-indent", "constants-enumeration-limit",
+        "report-inputs", "report-verify"])
+def test_no_settable_value_goes_unread(make, exc, match):
+    with pytest.raises(exc, match=match):
+        make()
+
+
 def test_delay_model_draws():
     rng = derive_stream(SeedSpec(7), 0, "delay")
     assert DelayModel.fixed(2).draw(rng, 9, 1, M=4, T=5)[0].tolist() == [2, 2, 2, 2]

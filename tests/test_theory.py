@@ -98,13 +98,15 @@ def test_constants_ordering_and_monotone():
         assert vals[-1] <= c.L + 1e-12
 
 
-def test_constants_rejects_bad_input():
+def test_constants_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError):
         constants_quadratic(np.ones((2, 3)))
     with pytest.raises(ValueError):
         constants_quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        constants_quadratic(np.eye(30), enumeration_limit=1000)
+    monkeypatch.setattr(theory, "ENUMERATION_LIMIT", 1000)
+    with pytest.raises(ValueError, match=r"^support enumeration needs 4095 subsets \(> 1000\); "
+                                         r"without it only the bound L_s <= L holds$"):
+        constants_quadratic(np.eye(12))
 
 
 def test_constants_equal_per_support_loop_bit_for_bit():
@@ -360,7 +362,8 @@ def test_report_keys_and_verify():
     assert d["cond_eq7"] is True
     assert d["bound_eq11"] == pytest.approx(0.4)
     assert d["constants"] == "exact"
-    assert rep.verify()
+    assert rep.cond_eq7 == check_condition_thm1(rep.gamma_eq9, 1, 1, 3)
+    assert rep.cond_eq15 == check_condition_thm3(rep.gamma_eq17, 1, 3, 1, 1, 4)
 
 
 def test_report_below_threshold_gives_none_with_note():
